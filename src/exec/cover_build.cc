@@ -1,5 +1,6 @@
 #include "exec/cover_build.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "netclus/cluster_index.h"
@@ -36,8 +37,9 @@ BuiltCover BuildCover(const index::MultiIndex& index,
     out.rep_sites.push_back(cluster.representative);
   }
 
-  // T̂C per representative, chunked over representatives. Scratch (the
-  // per-trajectory best estimate with stamping so that clearing is O(1) per
+  // T̂C per representative, chunked over representatives, each cover sorted
+  // in CoverOrder by the worker that built it. Scratch (the per-trajectory
+  // best estimate with stamping so that clearing is O(1) per
   // representative) is private to each chunk, and every representative's
   // cover depends only on the immutable index, so any chunk layout and
   // thread count produce the same covers.
@@ -94,11 +96,14 @@ BuiltCover BuildCover(const index::MultiIndex& index,
           auto& cover = covers[r];
           cover.reserve(touched.size());
           for (TrajId traj : touched) cover.push_back({traj, best[traj]});
+          std::sort(cover.begin(), cover.end(), tops::CoverOrder());
         }
       },
       grain);
-  out.approx = tops::CoverageIndex::FromCovers(std::move(covers), num_trajs,
-                                               store.live_count(), tau_m);
+  // Already sorted, so FromCovers only checks the order before inverting
+  // the covers into SC on the same threads.
+  out.approx = tops::CoverageIndex::FromCovers(
+      std::move(covers), num_trajs, store.live_count(), tau_m, t);
   out.build_seconds = timer.Seconds();
   out.bytes =
       out.approx.MemoryBytes() + out.rep_sites.size() * sizeof(SiteId);

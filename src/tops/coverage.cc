@@ -4,7 +4,6 @@
 #include <atomic>
 #include <unordered_map>
 
-#include "util/float_bits.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -147,10 +146,35 @@ uint64_t ComputeSiteCover(const traj::TrajectoryStore& store,
     const float dr = scratch.detour.best(t);
     if (dr <= config.tau_m) tc.push_back({t, dr});
   }
-  std::sort(tc.begin(), tc.end(), [](const CoverEntry& a, const CoverEntry& b) {
-    return a.dr_m < b.dr_m || (util::BitEqual(a.dr_m, b.dr_m) && a.id < b.id);
-  });
+  std::sort(tc.begin(), tc.end(), CoverOrder());
   return settled;
+}
+
+// SC as the inverse of TC, every list in CoverOrder. Counting first sizes
+// each list exactly, so it is allocated once; the fill scatters across
+// trajectories and stays serial, while the per-trajectory sorts are
+// independent and run on `threads`.
+std::vector<std::vector<CoverEntry>> InvertCovers(
+    const std::vector<std::vector<CoverEntry>>& tc, size_t num_trajectories,
+    unsigned threads) {
+  std::vector<uint32_t> count(num_trajectories, 0);
+  for (const auto& cover : tc) {
+    for (const CoverEntry& e : cover) {
+      NC_CHECK_LT(e.id, num_trajectories);
+      ++count[e.id];
+    }
+  }
+  std::vector<std::vector<CoverEntry>> sc(num_trajectories);
+  for (size_t t = 0; t < num_trajectories; ++t) sc[t].reserve(count[t]);
+  for (SiteId s = 0; s < tc.size(); ++s) {
+    for (const CoverEntry& e : tc[s]) sc[e.id].push_back({s, e.dr_m});
+  }
+  util::ParallelFor(threads, num_trajectories, [&](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      std::sort(sc[t].begin(), sc[t].end(), CoverOrder());
+    }
+  });
+  return sc;
 }
 
 }  // namespace
@@ -167,7 +191,6 @@ CoverageIndex CoverageIndex::Build(const traj::TrajectoryStore& store,
   const graph::RoadNetwork& net = store.network();
   const size_t num_trajs = store.total_count();
   index.tc_.resize(sites.size());
-  index.sc_.resize(num_trajs);
 
   // The memory-budget cutoff is defined by sequential site order, so a
   // nonzero budget forces the serial path (Table 9's OOM semantics).
@@ -183,7 +206,6 @@ CoverageIndex CoverageIndex::Build(const traj::TrajectoryStore& store,
       if (!budget.Charge(index.tc_[s].size() * sizeof(CoverEntry) * 2 + 64)) {
         index.oom_ = true;
         index.tc_.clear();
-        index.sc_.clear();
         index.stats_.build_seconds = timer.Seconds();
         NC_LOG_WARNING << "CoverageIndex: memory budget ("
                        << util::HumanBytes(budget.limit_bytes())
@@ -213,23 +235,7 @@ CoverageIndex CoverageIndex::Build(const traj::TrajectoryStore& store,
     for (const auto& tc : index.tc_) index.stats_.cover_entries += tc.size();
   }
 
-  // Inverse view SC, also sorted by ascending distance. The fill stays
-  // sequential (it scatters across trajectories); the sorts are independent
-  // per trajectory.
-  for (SiteId s = 0; s < index.tc_.size(); ++s) {
-    for (const CoverEntry& e : index.tc_[s]) {
-      index.sc_[e.id].push_back({s, e.dr_m});
-    }
-  }
-  util::ParallelFor(threads, index.sc_.size(), [&](size_t begin, size_t end) {
-    for (size_t t = begin; t < end; ++t) {
-      std::sort(index.sc_[t].begin(), index.sc_[t].end(),
-                [](const CoverEntry& a, const CoverEntry& b) {
-                  return a.dr_m < b.dr_m ||
-                         (util::BitEqual(a.dr_m, b.dr_m) && a.id < b.id);
-                });
-    }
-  });
+  index.sc_ = InvertCovers(index.tc_, num_trajs, threads);
   if (config.compress_postings) index.Compress();
   index.stats_.build_seconds = timer.Seconds();
   return index;
@@ -252,26 +258,23 @@ void CoverageIndex::Compress() {
 
 CoverageIndex CoverageIndex::FromCovers(
     std::vector<std::vector<CoverEntry>> tc, size_t num_trajectories,
-    size_t num_live, double tau_m) {
+    size_t num_live, double tau_m, uint32_t threads) {
   CoverageIndex index;
   index.config_.tau_m = tau_m;
   index.num_live_ = num_live;
   index.tc_ = std::move(tc);
-  index.sc_.resize(num_trajectories);
-  auto by_distance = [](const CoverEntry& a, const CoverEntry& b) {
-    return a.dr_m < b.dr_m || (util::BitEqual(a.dr_m, b.dr_m) && a.id < b.id);
-  };
-  for (auto& cover : index.tc_) {
-    std::sort(cover.begin(), cover.end(), by_distance);
+  util::ParallelFor(threads, index.tc_.size(), [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      std::vector<CoverEntry>& cover = index.tc_[s];
+      if (!std::is_sorted(cover.begin(), cover.end(), CoverOrder())) {
+        std::sort(cover.begin(), cover.end(), CoverOrder());
+      }
+    }
+  });
+  for (const auto& cover : index.tc_) {
     index.stats_.cover_entries += cover.size();
   }
-  for (SiteId s = 0; s < index.tc_.size(); ++s) {
-    for (const CoverEntry& e : index.tc_[s]) {
-      NC_CHECK_LT(e.id, num_trajectories);
-      index.sc_[e.id].push_back({s, e.dr_m});
-    }
-  }
-  for (auto& sc : index.sc_) std::sort(sc.begin(), sc.end(), by_distance);
+  index.sc_ = InvertCovers(index.tc_, num_trajectories, threads);
   return index;
 }
 

@@ -31,6 +31,7 @@
 #include "tops/preference.h"
 #include "tops/site_set.h"
 #include "traj/trajectory_store.h"
+#include "util/float_bits.h"
 #include "util/memory.h"
 
 namespace netclus::tops {
@@ -71,6 +72,16 @@ struct CoverEntry {
   float dr_m;
 };
 
+/// The cover order (d_r, id): ascending detour, ties broken by id. Ids are
+/// unique within one TC(s) or SC(t) list, so this is a strict total order
+/// on every list: any sort under it, by any algorithm on any thread,
+/// yields the same sequence.
+struct CoverOrder {
+  bool operator()(const CoverEntry& a, const CoverEntry& b) const {
+    return a.dr_m < b.dr_m || (util::BitEqual(a.dr_m, b.dr_m) && a.id < b.id);
+  }
+};
+
 /// Lazy range over one covering set: raw vector storage or compressed
 /// arena storage behind one iterator type, so the solver family
 /// (Inc-Greedy, FM-greedy, Jaccard, variants) traverses either without
@@ -91,14 +102,16 @@ class CoverageIndex {
   static CoverageIndex Build(const traj::TrajectoryStore& store,
                              const SiteSet& sites, const CoverageConfig& config);
 
-  /// Wraps precomputed covering sets (sorted or not; they are re-sorted).
-  /// This is how NetClus runs the unmodified solver family on cluster
-  /// representatives: the approximate covers T̂C (Eq. 10) become a coverage
-  /// index whose "sites" are representatives. `num_trajectories` sizes the
-  /// SC inverse; `num_live` is the utility denominator.
+  /// Wraps precomputed covering sets (sorted or not; a list not already in
+  /// CoverOrder is sorted). This is how NetClus runs the unmodified solver
+  /// family on cluster representatives: the approximate covers T̂C
+  /// (Eq. 10) become a coverage index whose "sites" are representatives.
+  /// `num_trajectories` sizes the SC inverse; `num_live` is the utility
+  /// denominator. `threads` (0 = NETCLUS_THREADS default) runs the sorts;
+  /// the result is identical at any thread count.
   static CoverageIndex FromCovers(std::vector<std::vector<CoverEntry>> tc,
                                   size_t num_trajectories, size_t num_live,
-                                  double tau_m);
+                                  double tau_m, uint32_t threads = 0);
 
   /// True when the memory budget aborted the build; all queries on an OOM
   /// index are invalid.
@@ -115,14 +128,14 @@ class CoverageIndex {
   /// denominator for utility percentages.
   size_t num_live_trajectories() const { return num_live_; }
 
-  /// TC(s): covered trajectories sorted by ascending d_r (paper keeps the
-  /// sets distance-sorted).
+  /// TC(s): covered trajectories in CoverOrder, i.e. by ascending d_r
+  /// (paper keeps the sets distance-sorted).
   CoverList TC(SiteId s) const {
     if (compressed_) return tc_arena_.PairList<CoverEntry>(s);
     return CoverList::Raw(tc_[s].data(), tc_[s].size());
   }
 
-  /// SC(T): covering sites sorted by ascending d_r.
+  /// SC(T): covering sites in CoverOrder.
   CoverList SC(traj::TrajId t) const {
     if (compressed_) return sc_arena_.PairList<CoverEntry>(t);
     return CoverList::Raw(sc_[t].data(), sc_[t].size());

@@ -16,7 +16,10 @@
 // tsan job runs this file under -fsanitize=thread).
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "api/engine.h"
@@ -31,6 +34,8 @@
 #include "test_helpers.h"
 #include "tops/variants.h"
 #include "traj/trip_generator.h"
+#include "util/float_bits.h"
+#include "util/rng.h"
 
 namespace netclus {
 namespace {
@@ -456,6 +461,152 @@ TEST(Exec, StatsRegistryAccumulatesStagesAndInstances) {
   EXPECT_EQ(stats.instances[p_small].cover_builds, 1u);
   EXPECT_EQ(stats.instances[p_large].cover_builds, 1u);
   EXPECT_GT(stats.instances[p_small].last_cover_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Cover finalisation: exec::BuildCover and CoverageIndex::FromCovers against
+// a serial reference of Eq. 9 written out here, on an index carrying Sec. 6
+// overlays.
+// ---------------------------------------------------------------------------
+
+// The (d_r, id) order spelled out locally rather than taken from
+// tops::CoverOrder, so the reference shares no code with what it checks.
+bool ByDistanceThenId(const tops::CoverEntry& a, const tops::CoverEntry& b) {
+  return std::tie(a.dr_m, a.id) < std::tie(b.dr_m, b.id);
+}
+
+struct ReferenceCover {
+  std::vector<SiteId> rep_sites;
+  std::vector<std::vector<tops::CoverEntry>> tc;  // per representative
+  std::vector<std::vector<tops::CoverEntry>> sc;  // per trajectory
+};
+
+// T̂C by the definition: for every representative, the minimum d̂_r over
+// the home cluster's TL and every CL neighbor's TL (walked through the
+// TL iterator, not the bulk ForEach BuildCover uses), kept when ≤ τ; SC
+// by inverting it. One thread, std::map, sort at the end.
+ReferenceCover SerialReferenceCover(const Engine& engine, size_t instance_id,
+                                    double tau_m) {
+  const index::ClusterIndex& instance = engine.index().instance(instance_id);
+  const traj::TrajectoryStore& store = engine.store();
+  ReferenceCover ref;
+  for (uint32_t g = 0; g < instance.num_clusters(); ++g) {
+    const index::Cluster& home = instance.cluster(g);
+    if (home.representative == tops::kInvalidSite) continue;
+    std::map<traj::TrajId, float> best;
+    const auto offer = [&](const index::TlList& tl, float base) {
+      for (const index::TlEntry& e : tl) {
+        if (!store.is_alive(e.traj)) continue;
+        const float est = e.dr_m + base;
+        if (est > tau_m) continue;
+        const auto [it, fresh] = best.emplace(e.traj, est);
+        if (!fresh) it->second = std::min(it->second, est);
+      }
+    };
+    offer(home.tl, home.rep_rt_m);
+    for (const index::ClEntry& nb : home.cl) {
+      offer(instance.cluster(nb.cluster).tl, nb.dr_m + home.rep_rt_m);
+    }
+    std::vector<tops::CoverEntry> cover;
+    for (const auto& [traj, dr] : best) cover.push_back({traj, dr});
+    std::sort(cover.begin(), cover.end(), ByDistanceThenId);
+    ref.rep_sites.push_back(home.representative);
+    ref.tc.push_back(std::move(cover));
+  }
+  ref.sc.resize(store.total_count());
+  for (SiteId r = 0; r < ref.tc.size(); ++r) {
+    for (const tops::CoverEntry& e : ref.tc[r]) {
+      ref.sc[e.id].push_back({r, e.dr_m});
+    }
+  }
+  for (auto& list : ref.sc) std::sort(list.begin(), list.end(), ByDistanceThenId);
+  return ref;
+}
+
+void ExpectListEq(tops::CoverList got,
+                  const std::vector<tops::CoverEntry>& want,
+                  const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << where << " [" << i << "]";
+    EXPECT_EQ(util::FloatBits(got[i].dr_m), util::FloatBits(want[i].dr_m))
+        << where << " [" << i << "]";
+  }
+}
+
+void ExpectMatchesReference(const tops::CoverageIndex& got,
+                            const ReferenceCover& ref,
+                            const std::string& where) {
+  ASSERT_EQ(got.num_sites(), ref.tc.size()) << where;
+  ASSERT_EQ(got.num_trajectories(), ref.sc.size()) << where;
+  for (SiteId r = 0; r < ref.tc.size(); ++r) {
+    ExpectListEq(got.TC(r), ref.tc[r], where + " TC(" + std::to_string(r) + ")");
+  }
+  for (traj::TrajId t = 0; t < ref.sc.size(); ++t) {
+    ExpectListEq(got.SC(t), ref.sc[t], where + " SC(" + std::to_string(t) + ")");
+  }
+}
+
+TEST(CoverBuild, MatchesSerialReferenceAtEveryThreadCountAfterUpdates) {
+  Engine engine = MakeEngine();
+  // Sec. 6 updates after BuildIndex: additions land in TL overlays,
+  // removals of indexed trajectories become tombstones, and removing an
+  // added trajectory exercises overlay removal.
+  util::Rng rng(2024);
+  std::vector<traj::TrajId> added;
+  while (added.size() < 12) {
+    const auto src =
+        static_cast<graph::NodeId>(rng.UniformInt(engine.network().num_nodes()));
+    const auto dst =
+        static_cast<graph::NodeId>(rng.UniformInt(engine.network().num_nodes()));
+    if (src == dst) continue;
+    auto path = traj::RoutePerturbed(engine.network(), src, dst, 0.3,
+                                     9000 + added.size());
+    if (path.size() >= 2) added.push_back(engine.AddTrajectory(std::move(path)));
+  }
+  for (traj::TrajId t = 0; t < 30; t += 3) engine.RemoveTrajectory(t);
+  engine.RemoveTrajectory(added.front());
+
+  const index::MultiIndex& index = engine.index();
+  const traj::TrajectoryStore& store = engine.store();
+  for (size_t p = 0; p < index.num_instances(); ++p) {
+    const index::ClusterIndex& instance = index.instance(p);
+    bool overlay = false;
+    for (uint32_t g = 0; g < instance.num_clusters(); ++g) {
+      overlay = overlay || instance.cluster(g).tl.has_overlay();
+    }
+    ASSERT_TRUE(overlay) << "instance " << p << " has no Sec. 6 overlay";
+
+    for (const double tau_m : {600.0, 1500.0}) {
+      const ReferenceCover ref = SerialReferenceCover(engine, p, tau_m);
+      for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
+        const std::string where = "instance " + std::to_string(p) + " tau " +
+                                  std::to_string(tau_m) + " threads " +
+                                  std::to_string(threads);
+        const exec::BuiltCover built =
+            exec::BuildCover(index, store, tau_m, p, threads);
+        EXPECT_EQ(built.rep_sites, ref.rep_sites) << where;
+        ExpectMatchesReference(built.approx, ref, "BuildCover " + where);
+
+        // FromCovers must sort lists handed to it out of order.
+        std::vector<std::vector<tops::CoverEntry>> unsorted = ref.tc;
+        util::Rng shuffle(threads);
+        bool any_unsorted = false;
+        for (auto& list : unsorted) {
+          std::reverse(list.begin(), list.end());
+          shuffle.Shuffle(&list);
+          any_unsorted = any_unsorted ||
+                         !std::is_sorted(list.begin(), list.end(),
+                                         ByDistanceThenId);
+        }
+        ASSERT_TRUE(any_unsorted) << where;
+        const tops::CoverageIndex from = tops::CoverageIndex::FromCovers(
+            std::move(unsorted), store.total_count(), store.live_count(),
+            tau_m, threads);
+        ExpectMatchesReference(from, ref, "FromCovers " + where);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -184,15 +184,21 @@ TEST(Determinism, CoverageBuildIdenticalAcrossThreadCounts) {
   const auto threaded =
       tops::CoverageIndex::Build(*corpus.store, corpus.sites, parallel);
 
+  const auto expect_same = [](tops::CoverList a, tops::CoverList b,
+                              const char* what, uint32_t list) {
+    ASSERT_EQ(a.size(), b.size()) << what << " " << list;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id) << what << " " << list << " [" << i << "]";
+      EXPECT_EQ(a[i].dr_m, b[i].dr_m) << what << " " << list << " [" << i << "]";
+    }
+  };
   ASSERT_EQ(threaded.num_sites(), reference.num_sites());
   for (tops::SiteId s = 0; s < reference.num_sites(); ++s) {
-    const auto a = reference.TC(s);
-    const auto b = threaded.TC(s);
-    ASSERT_EQ(a.size(), b.size()) << "site " << s;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].dr_m, b[i].dr_m);
-    }
+    expect_same(reference.TC(s), threaded.TC(s), "TC", s);
+  }
+  ASSERT_EQ(threaded.num_trajectories(), reference.num_trajectories());
+  for (traj::TrajId t = 0; t < reference.num_trajectories(); ++t) {
+    expect_same(reference.SC(t), threaded.SC(t), "SC", t);
   }
 }
 

@@ -64,12 +64,18 @@ Engine::QuerySpec Spec(uint32_t k, double tau_m) {
   return spec;
 }
 
-// Serial replay of a spec on the exact snapshot that served it, in the
-// same canonical form the server executes.
+// Serial replay of a spec on one snapshot, in the same canonical form the
+// server executes.
+index::QueryResult ReplayOn(const serve::IndexSnapshot& snapshot,
+                            const Engine::QuerySpec& spec) {
+  const Engine::QuerySpec canon = serve::CanonicalizeSpec(spec);
+  return snapshot.query().Tops(canon.psi, canon.ToConfig(/*threads=*/1));
+}
+
+// Serial replay of a spec on the exact snapshot that served it.
 index::QueryResult Replay(const serve::ServeResult& served,
                           const Engine::QuerySpec& spec) {
-  const Engine::QuerySpec canon = serve::CanonicalizeSpec(spec);
-  return served.snapshot->query().Tops(canon.psi, canon.ToConfig(/*threads=*/1));
+  return ReplayOn(*served.snapshot, spec);
 }
 
 void ExpectBitIdentical(const index::QueryResult& expected,
@@ -1141,6 +1147,12 @@ TEST(StandingQueries, InitialPushThenDeltaGatedReevaluation) {
 
   std::mutex mu;
   std::vector<serve::StandingUpdate> log;
+  // The server's snapshot when each push arrived. A push runs on the
+  // writer right after the publish that triggered it and before any later
+  // one, so this is the snapshot of the version the push reports — unlike
+  // the server's snapshot after Flush(), which can be newer when the
+  // writer publishes a burst of updates as several snapshots.
+  std::vector<serve::SnapshotPtr> pushed_on;
   const auto snapshot_log = [&] {
     const std::lock_guard<std::mutex> lock(mu);
     return log;
@@ -1148,10 +1160,18 @@ TEST(StandingQueries, InitialPushThenDeltaGatedReevaluation) {
   const uint64_t id = server->RegisterStanding(
       spec, serve::StalenessPolicy::Fresh(),
       [&](const serve::StandingUpdate& update) {
+        serve::SnapshotPtr snapshot = server->snapshot();
         const std::lock_guard<std::mutex> lock(mu);
         log.push_back(update);
+        pushed_on.push_back(std::move(snapshot));
       });
   ASSERT_NE(id, 0u);
+  const auto expect_matches_replay = [&](size_t push) {
+    const std::lock_guard<std::mutex> lock(mu);
+    ASSERT_LT(push, pushed_on.size());
+    ASSERT_EQ(pushed_on[push]->version(), log[push].version);
+    ExpectBitIdentical(ReplayOn(*pushed_on[push], spec), log[push].result);
+  };
 
   // The initial result arrives synchronously, diff-empty, at version 1,
   // and matches a direct submit bit-identically.
@@ -1162,6 +1182,7 @@ TEST(StandingQueries, InitialPushThenDeltaGatedReevaluation) {
   EXPECT_TRUE(seen[0].added.empty());
   EXPECT_TRUE(seen[0].removed.empty());
   ExpectBitIdentical(server->Submit(spec).result, seen[0].result);
+  expect_matches_replay(0);
 
   // Clean publish: skipped without evaluating — no push.
   server->MutateRemoveTrajectory(999999);
@@ -1170,19 +1191,20 @@ TEST(StandingQueries, InitialPushThenDeltaGatedReevaluation) {
   EXPECT_GE(server->stats().standing.skipped_clean, 1u);
   EXPECT_EQ(server->stats().standing.evaluations, 1u);
 
-  // Dirty publish under a zero staleness budget: re-evaluated; a push
-  // arrives iff the top-k membership changed, and any push matches a
-  // direct submit at the (unchanged-since) current version.
+  // Dirty publishes under a zero staleness budget: each is re-evaluated;
+  // a push arrives iff the top-k membership changed, and every push
+  // matches a serial replay on the snapshot of the version it reports.
   for (int i = 0; i < 40; ++i) {
     server->MutateAddTrajectory({0, 1, 2, 12, 22});
   }
   server->Flush();
   EXPECT_GE(server->stats().standing.evaluations, 2u);
   seen = snapshot_log();
-  if (seen.size() > 1) {
-    EXPECT_FALSE(seen.back().first);
-    EXPECT_FALSE(seen.back().added.empty() && seen.back().removed.empty());
-    ExpectBitIdentical(server->Submit(spec).result, seen.back().result);
+  for (size_t push = 1; push < seen.size(); ++push) {
+    EXPECT_FALSE(seen[push].first);
+    EXPECT_FALSE(seen[push].added.empty() && seen[push].removed.empty());
+    EXPECT_GT(seen[push].version, seen[push - 1].version);
+    expect_matches_replay(push);
   }
 
   // Unregister stops deliveries; the id is single-use.

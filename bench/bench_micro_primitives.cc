@@ -177,19 +177,16 @@ BENCHMARK(BM_BulkVarintDecode)
     ->Args({2, 16384, 0})
     ->Args({2, 16384, 1});
 
-// Full list traversal through the arena views: flat iterator decode vs
-// blocked ForEach (skip headers + SIMD bulk decode). range(0) selects
-// the layout, range(1) the list length.
+// Full list traversal through the arena view's ForEach (skip headers +
+// SIMD bulk decode). range(0) is the list length.
 void BM_PostingListForEach(benchmark::State& state) {
-  const auto layout = state.range(0) == 0 ? store::ListLayout::kFlat
-                                          : store::ListLayout::kBlocked;
-  const size_t len = static_cast<size_t>(state.range(1));
+  const size_t len = static_cast<size_t>(state.range(0));
   util::Rng rng(11);
   std::vector<uint32_t> values(len);
   for (auto& v : values) {
     v = static_cast<uint32_t>(rng.UniformInt(1u << 24));
   }
-  store::PostingArenaBuilder builder(layout);
+  store::PostingArenaBuilder builder;
   builder.AddU32List(values);
   const store::PostingArena arena = builder.Finish();
   for (auto _ : state) {
@@ -199,14 +196,11 @@ void BM_PostingListForEach(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(len));
-  state.SetLabel(layout == store::ListLayout::kFlat ? "flat" : "blocked");
 }
 BENCHMARK(BM_PostingListForEach)
-    ->ArgNames({"layout", "entries"})
-    ->Args({0, 1024})
-    ->Args({0, 65536})
-    ->Args({1, 1024})
-    ->Args({1, 65536});
+    ->ArgNames({"entries"})
+    ->Arg(1024)
+    ->Arg(65536);
 
 void BM_NetClusQuery(benchmark::State& state) {
   const data::Dataset& d = SharedDataset();

@@ -58,80 +58,55 @@ int main(int argc, char** argv) {
   }
   table.PrintText(std::cout);
 
-  // --- index persistence: v1 text vs v2 binary (copy / mmap) ---------------
-  // The startup-latency leg of the v2 format work: Engine::Load boils down
-  // to LoadIndex, so this times the full multi-resolution index through
-  // the text parser, the binary heap-copy loader, and the zero-copy mmap
-  // loader. Acceptance: mmap load >= 5x faster than text on this (the
-  // largest Table 11) dataset.
+  // --- index persistence: copy vs mmap load --------------------------------
+  // The startup-latency leg: Engine::LoadIndexFromFile boils down to
+  // LoadIndex, so this times the full multi-resolution index through the
+  // heap-copy loader and the zero-copy mmap loader.
   std::printf("\nindex persistence (full multi-resolution index):\n");
   const index::MultiIndex full = bench::BuildIndex(d);
-  const std::string text_path = "/tmp/netclus_bench_t11_v1.idx";
-  const std::string bin_path = "/tmp/netclus_bench_t11_v2.idx";
+  const std::string v3_path = "/tmp/netclus_bench_t11_v3.idx";
   std::string error;
-  NC_CHECK(index::SaveIndex(full, text_path, &error,
-                            index::IndexFileFormat::kTextV1))
-      << error;
-  NC_CHECK(index::SaveIndex(full, bin_path, &error,
-                            index::IndexFileFormat::kBinaryV2))
-      << error;
+  NC_CHECK(index::SaveIndex(full, v3_path, &error)) << error;
   const size_t nodes = d.num_nodes();
   const size_t trajs = d.store->total_count();
 
-  auto time_load = [&](const std::string& path, index::IndexLoadMode mode) {
+  auto time_load = [&](index::IndexLoadMode mode) {
     double best = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
       index::MultiIndex loaded;
       util::WallTimer timer;
-      NC_CHECK(index::LoadIndex(path, nodes, trajs, &loaded, &error, nullptr,
-                                nullptr, mode))
+      NC_CHECK(index::LoadIndex(v3_path, nodes, trajs, &loaded, &error,
+                                nullptr, nullptr, mode))
           << error;
       best = std::min(best, timer.Seconds());
     }
     return best;
   };
-  const double text_s = time_load(text_path, index::IndexLoadMode::kAuto);
-  const double copy_s = time_load(bin_path, index::IndexLoadMode::kCopy);
-  const double mmap_s = time_load(bin_path, index::IndexLoadMode::kMmap);
-  const double speedup = mmap_s > 0.0 ? text_s / mmap_s : 0.0;
-
-  auto file_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    return static_cast<uint64_t>(in.tellg());
-  };
-  util::Table io_table({"format", "file_bytes", "load_s"});
+  const double v3_copy_s = time_load(index::IndexLoadMode::kCopy);
+  const double v3_mmap_s = time_load(index::IndexLoadMode::kMmap);
+  uint64_t v3_bytes = 0;
+  {
+    std::ifstream in(v3_path, std::ios::binary | std::ios::ate);
+    v3_bytes = static_cast<uint64_t>(in.tellg());
+  }
+  util::Table io_table({"load", "file_bytes", "load_s"});
   io_table.Row()
-      .Cell(std::string("v1 text"))
-      .Cell(util::HumanBytes(file_bytes(text_path)))
-      .Cell(text_s, 4);
+      .Cell(std::string("copy"))
+      .Cell(util::HumanBytes(v3_bytes))
+      .Cell(v3_copy_s, 4);
   io_table.Row()
-      .Cell(std::string("v2 binary (copy)"))
-      .Cell(util::HumanBytes(file_bytes(bin_path)))
-      .Cell(copy_s, 4);
-  io_table.Row()
-      .Cell(std::string("v2 binary (mmap)"))
-      .Cell(util::HumanBytes(file_bytes(bin_path)))
-      .Cell(mmap_s, 4);
+      .Cell(std::string("mmap"))
+      .Cell(util::HumanBytes(v3_bytes))
+      .Cell(v3_mmap_s, 4);
   io_table.PrintText(std::cout);
-  std::printf("mmap load speedup over v1 text: %.1fx\n", speedup);
 
-  // --- v3 blocked format: larger-than-budget serving -----------------------
-  // The v3 leg of the index work: save the same index as blocked postings
-  // + EF offsets, mmap it under a page budget deliberately smaller than
-  // the file, and serve a zipf-skewed query mix. Reported: cold (pool
-  // dropped before each query, every list re-faults) and warm p50/p99
-  // latencies, plus the pool's residency counters — the proof that the
-  // working set stays bounded while answers stay exact.
+  // --- larger-than-budget serving -------------------------------------------
+  // Mmap the same index under a page budget deliberately smaller than the
+  // file and serve a zipf-skewed query mix. Reported: cold (pool dropped
+  // before each query, every list re-faults) and warm p50/p99 latencies,
+  // plus the pool's residency counters — the proof that the working set
+  // stays bounded while answers stay exact.
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const std::string v3_path = "/tmp/netclus_bench_t11_v3.idx";
-  NC_CHECK(index::SaveIndex(full, v3_path, &error,
-                            index::IndexFileFormat::kBinaryV3))
-      << error;
-  const double v3_copy_s = time_load(v3_path, index::IndexLoadMode::kCopy);
-  const double v3_mmap_s = time_load(v3_path, index::IndexLoadMode::kMmap);
-  const uint64_t v3_bytes = file_bytes(v3_path);
-  std::printf("\nv3 binary (blocked+EF): %s, load copy %.4fs, mmap %.4fs\n",
-              util::HumanBytes(v3_bytes).c_str(), v3_copy_s, v3_mmap_s);
 
   // Budget: a quarter of the file, floored at two frames.
   const uint64_t budget = std::max<uint64_t>(128 << 10, v3_bytes / 4);
@@ -214,15 +189,9 @@ int main(int argc, char** argv) {
   const std::string json_path = bench::JsonOutPath(argc, argv, "BENCH_table11.json");
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"table11_index\",\n"
-       << "  \"v1_text_bytes\": " << file_bytes(text_path) << ",\n"
-       << "  \"v2_binary_bytes\": " << file_bytes(bin_path) << ",\n"
        << "  \"v3_binary_bytes\": " << v3_bytes << ",\n"
-       << "  \"load_v1_text_s\": " << text_s << ",\n"
-       << "  \"load_v2_copy_s\": " << copy_s << ",\n"
-       << "  \"load_v2_mmap_s\": " << mmap_s << ",\n"
        << "  \"load_v3_copy_s\": " << v3_copy_s << ",\n"
        << "  \"load_v3_mmap_s\": " << v3_mmap_s << ",\n"
-       << "  \"mmap_speedup_over_text\": " << speedup << ",\n"
        << "  \"page_budget_bytes\": " << budget << ",\n"
        << "  \"pool_resident_bytes\": " << ps.resident_bytes << ",\n"
        << "  \"pool_faults\": " << ps.faults << ",\n"
@@ -232,8 +201,6 @@ int main(int argc, char** argv) {
        << "  \"warm_p50_ms\": " << percentile(warm_ms, 0.5) << ",\n"
        << "  \"warm_p99_ms\": " << percentile(warm_ms, 0.99) << "\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
-  std::remove(text_path.c_str());
-  std::remove(bin_path.c_str());
   std::remove(v3_path.c_str());
   return 0;
 }

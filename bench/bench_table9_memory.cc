@@ -4,10 +4,11 @@
 // small and *shrink* for large τ because coarser instances compress more.
 //
 // Besides the paper's table, this bench reports the compact-storage
-// numbers of the v2 index work: raw vs compressed posting bytes (index
-// TL/CC arenas and covering sets) plus whole-process resident bytes, and
-// writes them to BENCH_table9.json (override with NETCLUS_BENCH_JSON) so
-// CI tracks the compression ratio across PRs.
+// numbers: raw vs compressed posting bytes (index TL/CC arenas and
+// covering sets), the index file size, the Elias-Fano offset-table bytes
+// and whole-process resident bytes, and writes them to BENCH_table9.json
+// (override with NETCLUS_BENCH_JSON) so CI tracks the compression ratio
+// across PRs.
 #include <fstream>
 
 #include "bench_common.h"
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
   }
   table.PrintText(std::cout);
 
-  // --- compact posting storage (v2 index format) ---------------------------
+  // --- compact posting storage ----------------------------------------------
   // Index postings: what the TL/CC lists cost as delta-varint arenas vs
   // the vector-of-vectors representation they replaced.
   const uint64_t raw_bytes = index.PostingsBytesRaw();
@@ -89,39 +90,22 @@ int main(int argc, char** argv) {
               util::HumanBytes(cov_raw).c_str(),
               util::HumanBytes(cov_packed).c_str(), cov_ratio);
 
-  // --- v3 blocked format: file sizes and Elias-Fano offset tables ----------
-  // File-level comparison: flat varints + plain u64 offsets (v2) against
-  // 128-entry blocks with skip headers + EF offsets (v3).
-  const std::vector<uint8_t> v2_image = index::EncodeIndexV2(index, nullptr);
-  const std::vector<uint8_t> v3_image = index::EncodeIndexV3(index, nullptr);
-  std::printf("\nindex image: v2 (flat) %s, v3 (blocked+EF) %s\n",
-              util::HumanBytes(v2_image.size()).c_str(),
+  // --- index file size and Elias-Fano offset tables ------------------------
+  const std::vector<uint8_t> v3_image = index::EncodeIndex(index, nullptr);
+  std::printf("\nindex image: %s\n",
               util::HumanBytes(v3_image.size()).c_str());
 
-  // Offset tables in isolation: rebuild instance-0's TL lists into flat
-  // and blocked arenas; the flat offsets block is the plain u64 table,
-  // the blocked one is its Elias-Fano replacement.
+  // Offset table in isolation: instance-0's TL lists rebuilt into an
+  // arena, whose offsets block is the Elias-Fano table.
   const index::ClusterIndex& inst0 = index.instance(0);
-  store::PostingArenaBuilder flat_tl(store::ListLayout::kFlat);
-  store::PostingArenaBuilder blocked_tl(store::ListLayout::kBlocked);
+  store::PostingArenaBuilder tl_builder;
   for (uint32_t g = 0; g < inst0.num_clusters(); ++g) {
-    std::vector<index::TlEntry> list;
-    inst0.cluster(g).tl.ForEach(
-        [&](const index::TlEntry& e) { list.push_back(e); });
-    flat_tl.AddPairList(list);
-    blocked_tl.AddPairList(list);
+    tl_builder.AddPairList(inst0.cluster(g).tl.Materialize());
   }
-  const uint64_t plain_offset_bytes = flat_tl.Finish().offsets_block().size();
-  const uint64_t ef_offset_bytes = blocked_tl.Finish().offsets_block().size();
-  const double ef_ratio =
-      ef_offset_bytes == 0 ? 0.0
-                           : static_cast<double>(plain_offset_bytes) /
-                                 static_cast<double>(ef_offset_bytes);
-  std::printf("TL offset table (instance 0, %u lists): plain u64 %s, "
-              "Elias-Fano %s, ratio %.2fx\n",
+  const uint64_t ef_offset_bytes = tl_builder.Finish().offsets_bytes();
+  std::printf("TL offset table (instance 0, %zu lists): Elias-Fano %s\n",
               inst0.num_clusters(),
-              util::HumanBytes(plain_offset_bytes).c_str(),
-              util::HumanBytes(ef_offset_bytes).c_str(), ef_ratio);
+              util::HumanBytes(ef_offset_bytes).c_str());
 
   const uint64_t vmrss = util::ReadVmRssBytes();
   std::printf("whole-process VmRSS at exit: %s\n",
@@ -136,11 +120,8 @@ int main(int argc, char** argv) {
        << "  \"coverage_raw_bytes\": " << cov_raw << ",\n"
        << "  \"coverage_compressed_bytes\": " << cov_packed << ",\n"
        << "  \"coverage_compression_ratio\": " << cov_ratio << ",\n"
-       << "  \"index_file_v2_bytes\": " << v2_image.size() << ",\n"
        << "  \"index_file_v3_bytes\": " << v3_image.size() << ",\n"
-       << "  \"tl_offsets_plain_bytes\": " << plain_offset_bytes << ",\n"
        << "  \"tl_offsets_ef_bytes\": " << ef_offset_bytes << ",\n"
-       << "  \"tl_offsets_ef_ratio\": " << ef_ratio << ",\n"
        << "  \"vmrss_bytes\": " << vmrss << "\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
   return 0;

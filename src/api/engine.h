@@ -75,10 +75,10 @@ class Engine {
     /// backends. AddTrajectory corpora are unaffected. CH preprocessing
     /// runs once, lazily, at the first distance use.
     graph::spf::BackendKind distance_backend = graph::spf::BackendKind::kDefault;
-    /// How LoadIndexFromFile materializes a v2 binary index file. kAuto
+    /// How LoadIndexFromFile materializes the index file. kAuto
     /// memory-maps it (zero-copy posting arenas; override with
     /// NETCLUS_INDEX_MMAP=0); kCopy forces a heap read; kMmap requires
-    /// the mapping to succeed. v1 text files always stream-parse.
+    /// the mapping to succeed.
     index::IndexLoadMode index_load_mode = index::IndexLoadMode::kAuto;
   };
 
@@ -155,15 +155,16 @@ class Engine {
   bool index_built() const { return index_ != nullptr; }
 
   /// Persists the built index (the expensive offline artifact) to `path`
-  /// in the v2 binary format (delta-varint postings, checksummed
-  /// sections; docs/index_format.md), together with the distance backend
-  /// (a CH hierarchy rides along, so a load never re-contracts).
+  /// in the binary index format (blocked delta-varint postings,
+  /// checksummed sections; docs/index_format.md), together with the
+  /// distance backend (a CH hierarchy rides along, so a load never
+  /// re-contracts). The file is written beside `path` and renamed over
+  /// it, so saving over the file this engine was loaded from is safe.
   bool SaveIndexToFile(const std::string& path, std::string* error) const;
 
   /// Loads a previously saved index instead of rebuilding; validates that
-  /// it matches the current network/corpus sizes. Both file formats load
-  /// (the magic is sniffed); v2 files are mmap'ed by default so the
-  /// posting arenas alias the file zero-copy — see
+  /// it matches the current network/corpus sizes. The file is mmap'ed by
+  /// default so the posting arenas alias it zero-copy — see
   /// Options::index_load_mode. A backend recorded in the file replaces
   /// this engine's configured one.
   bool LoadIndexFromFile(const std::string& path, std::string* error);

@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -327,23 +326,15 @@ class ClusterIndex {
 
   // --- persistence (implemented in index_io.cc) ----------------------------
 
-  /// Serializes this instance to the stream (v1 text).
-  void WriteTo(std::ostream& os) const;
-
-  /// Deserializes an instance written by WriteTo.
-  static bool ReadFrom(std::istream& is, ClusterIndex* out, std::string* error);
-
   /// Appends this instance as a binary blob (canonicalized: overlays
-  /// and tombstones are folded into fresh arenas). `layout` selects the
-  /// posting-arena wire format: kFlat for v2 files, kBlocked for v3.
-  /// Arenas whose in-memory layout differs from the target are re-encoded.
-  void WriteBinary(store::ByteWriter& out, store::ListLayout layout) const;
+  /// and tombstones are folded into fresh arenas).
+  void WriteBinary(store::ByteWriter& out) const;
 
-  /// Parses a v2/v3 instance blob whose arenas use `layout`. Arena byte
-  /// ranges alias `in`'s backing block — the mmap'ed file or the
-  /// whole-file heap read — so postings are not copied.
-  static bool ReadBinary(store::ByteReader& in, store::ListLayout layout,
-                         ClusterIndex* out, std::string* error);
+  /// Parses an instance blob. Arena byte ranges alias `in`'s backing
+  /// block — the mmap'ed file or the whole-file heap read — so postings
+  /// are not copied.
+  static bool ReadBinary(store::ByteReader& in, ClusterIndex* out,
+                         std::string* error);
 
  private:
   void ElectRepresentative(const traj::TrajectoryStore& store,

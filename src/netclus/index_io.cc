@@ -1,11 +1,11 @@
 #include "netclus/index_io.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <iomanip>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -24,9 +24,9 @@ namespace {
 
 // Structural sanity cap on any serialized count/length. Real indexes stay
 // far below it; a corrupt count above it fails fast instead of driving a
-// multi-gigabyte allocation. (Reads below also grow containers only as
-// fast as actual parsed data, so truncation cannot allocate ahead of the
-// stream either.)
+// multi-gigabyte allocation. (Array copies below also check a count
+// against the bytes actually present before allocating, so truncation
+// cannot allocate ahead of the file either.)
 constexpr uint64_t kMaxListLength = 1ull << 31;
 constexpr uint64_t kMaxInstances = 4096;
 
@@ -39,19 +39,10 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-// Reads a tag token and verifies it.
-bool Expect(std::istream& is, const char* tag, std::string* error) {
-  std::string token;
-  if (!(is >> token) || token != tag) {
-    return Fail(error, std::string("expected '") + tag + "', got '" + token + "'");
-  }
-  return true;
-}
-
 // Shared post-parse validation: cluster ids in range, assignments
 // consistent, and every id stored in the per-cluster lists inside its id
 // space — a well-checksummed but crafted file must not be able to plant
-// ids that fault at query time. Run by both the v1 and v2 readers.
+// ids that fault at query time. Run on every parsed instance.
 bool ValidateInstanceStructure(const ClusterIndex& index, std::string* error) {
   for (graph::NodeId v = 0; v < index.num_nodes(); ++v) {
     if (index.cluster_of(v) >= index.num_clusters()) {
@@ -96,190 +87,10 @@ bool ValidateInstanceStructure(const ClusterIndex& index, std::string* error) {
   return true;
 }
 
-// Bounded reserve: trust `declared` only up to a small pre-allocation —
-// containers then grow geometrically with actually-parsed data, so a
-// corrupt count cannot allocate ahead of the stream (no resize bombs).
-template <typename Vector>
-void SafeReserve(Vector& v, uint64_t declared) {
-  v.reserve(static_cast<size_t>(std::min<uint64_t>(declared, 1u << 16)));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ClusterIndex — v1 text
-// ---------------------------------------------------------------------------
-
-void ClusterIndex::WriteTo(std::ostream& os) const {
-  os << std::setprecision(12);
-  os << "instance\n";
-  os << "config " << config_.radius_m << " " << config_.gamma << " "
-     << static_cast<int>(config_.gdsp_strategy) << " " << config_.fm_copies
-     << " " << static_cast<int>(config_.representative_rule) << "\n";
-  os << "stats " << stats_.gdsp_seconds << " " << stats_.build_seconds << " "
-     << stats_.mean_dominating_set_size << " " << stats_.mean_tl_size << " "
-     << stats_.mean_cl_size << " " << stats_.compressed_postings << " "
-     << stats_.raw_postings << "\n";
-
-  os << "node_cluster " << node_cluster_.size();
-  for (uint32_t g : node_cluster_) os << " " << g;
-  os << "\nnode_rt " << node_rt_.size();
-  for (float rt : node_rt_) os << " " << rt;
-  os << "\nclusters " << clusters_.size() << "\n";
-  for (const Cluster& c : clusters_) {
-    os << "cluster " << c.center << " " << c.representative << " "
-       << c.rep_rt_m << "\n";
-    os << " sites " << c.sites.size();
-    for (tops::SiteId s : c.sites) os << " " << s;
-    // Live TL entries: frozen-minus-tombstones plus dynamic additions.
-    os << "\n tl " << c.tl.size();
-    for (const TlEntry& e : c.tl) os << " " << e.traj << " " << e.dr_m;
-    os << "\n cl " << c.cl.size();
-    for (const ClEntry& e : c.cl) os << " " << e.cluster << " " << e.dr_m;
-    os << "\n";
-  }
-  os << "seqs " << cc_count_ << "\n";
-  for (traj::TrajId t = 0; t < cc_count_; ++t) {
-    const store::PostingListView seq = cluster_sequence_view(t);
-    os << seq.size();
-    for (uint32_t g : seq) os << " " << g;
-    os << "\n";
-  }
-  os << "removed " << site_removed_.size();
-  for (bool removed : site_removed_) os << " " << (removed ? 1 : 0);
-  os << "\n";
-}
-
-bool ClusterIndex::ReadFrom(std::istream& is, ClusterIndex* out,
-                            std::string* error) {
-  ClusterIndex index;
-  if (!Expect(is, "instance", error)) return false;
-  if (!Expect(is, "config", error)) return false;
-  int strategy = 0, rule = 0;
-  if (!(is >> index.config_.radius_m >> index.config_.gamma >> strategy >>
-        index.config_.fm_copies >> rule)) {
-    return Fail(error, "bad config line");
-  }
-  index.config_.gdsp_strategy = static_cast<GdspStrategy>(strategy);
-  index.config_.representative_rule = static_cast<RepresentativeRule>(rule);
-  if (!Expect(is, "stats", error)) return false;
-  if (!(is >> index.stats_.gdsp_seconds >> index.stats_.build_seconds >>
-        index.stats_.mean_dominating_set_size >> index.stats_.mean_tl_size >>
-        index.stats_.mean_cl_size >> index.stats_.compressed_postings >>
-        index.stats_.raw_postings)) {
-    return Fail(error, "bad stats line");
-  }
-
-  uint64_t count = 0;
-  if (!Expect(is, "node_cluster", error) || !(is >> count) ||
-      count > kMaxListLength) {
-    return Fail(error, "bad node_cluster header");
-  }
-  SafeReserve(index.node_cluster_, count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t g = 0;
-    if (!(is >> g)) return Fail(error, "truncated node_cluster");
-    index.node_cluster_.push_back(g);
-  }
-  if (!Expect(is, "node_rt", error) || !(is >> count) ||
-      count > kMaxListLength) {
-    return Fail(error, "bad node_rt header");
-  }
-  SafeReserve(index.node_rt_, count);
-  for (uint64_t i = 0; i < count; ++i) {
-    float rt = 0.0f;
-    if (!(is >> rt)) return Fail(error, "truncated node_rt");
-    index.node_rt_.push_back(rt);
-  }
-  // Both per-node arrays span the same id space; a mismatch would leave
-  // node_rt_ reads out of bounds for valid node ids after load.
-  if (index.node_rt_.size() != index.node_cluster_.size()) {
-    return Fail(error, "node_rt/node_cluster count mismatch");
-  }
-
-  if (!Expect(is, "clusters", error) || !(is >> count) ||
-      count > kMaxListLength) {
-    return Fail(error, "bad clusters header");
-  }
-  SafeReserve(index.clusters_, count);
-  std::vector<std::vector<TlEntry>> tls;
-  SafeReserve(tls, count);
-  for (uint64_t g = 0; g < count; ++g) {
-    Cluster& c = index.clusters_.emplace_back();
-    std::vector<TlEntry>& tl = tls.emplace_back();
-    if (!Expect(is, "cluster", error)) return false;
-    if (!(is >> c.center >> c.representative >> c.rep_rt_m)) {
-      return Fail(error, "bad cluster line");
-    }
-    uint64_t n = 0;
-    if (!Expect(is, "sites", error) || !(is >> n) || n > kMaxListLength) {
-      return Fail(error, "bad sites header");
-    }
-    SafeReserve(c.sites, n);
-    for (uint64_t i = 0; i < n; ++i) {
-      tops::SiteId s = 0;
-      if (!(is >> s)) return Fail(error, "truncated sites");
-      c.sites.push_back(s);
-    }
-    if (!Expect(is, "tl", error) || !(is >> n) || n > kMaxListLength) {
-      return Fail(error, "bad tl header");
-    }
-    SafeReserve(tl, n);
-    for (uint64_t i = 0; i < n; ++i) {
-      TlEntry e{};
-      if (!(is >> e.traj >> e.dr_m)) return Fail(error, "truncated tl");
-      tl.push_back(e);
-    }
-    if (!Expect(is, "cl", error) || !(is >> n) || n > kMaxListLength) {
-      return Fail(error, "bad cl header");
-    }
-    SafeReserve(c.cl, n);
-    for (uint64_t i = 0; i < n; ++i) {
-      ClEntry e{};
-      if (!(is >> e.cluster >> e.dr_m)) return Fail(error, "truncated cl");
-      c.cl.push_back(e);
-    }
-  }
-
-  if (!Expect(is, "seqs", error) || !(is >> count) || count > kMaxListLength) {
-    return Fail(error, "bad seqs header");
-  }
-  std::vector<std::vector<uint32_t>> seqs;
-  SafeReserve(seqs, count);
-  for (uint64_t si = 0; si < count; ++si) {
-    std::vector<uint32_t>& seq = seqs.emplace_back();
-    uint64_t len = 0;
-    if (!(is >> len) || len > kMaxListLength) {
-      return Fail(error, "truncated seqs");
-    }
-    SafeReserve(seq, len);
-    for (uint64_t i = 0; i < len; ++i) {
-      uint32_t g = 0;
-      if (!(is >> g)) return Fail(error, "truncated seq entries");
-      if (g >= index.clusters_.size()) {
-        return Fail(error, "cluster id out of range in sequence");
-      }
-      seq.push_back(g);
-    }
-  }
-  if (!Expect(is, "removed", error) || !(is >> count) ||
-      count > kMaxListLength) {
-    return Fail(error, "bad removed header");
-  }
-  SafeReserve(index.site_removed_, count);
-  for (uint64_t i = 0; i < count; ++i) {
-    int bit = 0;
-    if (!(is >> bit)) return Fail(error, "truncated removed");
-    index.site_removed_.push_back(bit != 0);
-  }
-  index.FreezePostings(tls, seqs);
-  if (!ValidateInstanceStructure(index, error)) return false;
-  *out = std::move(index);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// ClusterIndex — v2 binary blob
+// ClusterIndex — instance blob
 //
 // Layout (offsets relative to the blob start, arrays 8-aligned):
 //   scalars: config + stats + counts (see WriteBinary)
@@ -300,10 +111,10 @@ enum InstanceArray : size_t {
   kArrSitesData,        // u32[total sites]
   kArrClOffsets,        // u64[num_clusters + 1]
   kArrClData,           // ClEntry[total cl]
-  kArrTlOffsets,        // v2: u64[num_clusters + 1]; v3: Elias–Fano bytes
-  kArrTlData,           // varint arena bytes (v2 flat / v3 blocked)
-  kArrCcOffsets,        // v2: u64[num_seqs + 1]; v3: Elias–Fano bytes
-  kArrCcData,           // varint arena bytes (v2 flat / v3 blocked)
+  kArrTlOffsets,        // Elias–Fano offsets (num_clusters + 1 values)
+  kArrTlData,           // blocked varint arena bytes
+  kArrCcOffsets,        // Elias–Fano offsets (num_seqs + 1 values)
+  kArrCcData,           // blocked varint arena bytes
   kArrSiteRemoved,      // u8[ceil(num_site_flags / 8)]
   kNumArrays,
 };
@@ -328,31 +139,26 @@ bool CopyArray(const store::ByteBlock& block, size_t expected_count,
 
 }  // namespace
 
-void ClusterIndex::WriteBinary(store::ByteWriter& out,
-                               store::ListLayout layout) const {
+void ClusterIndex::WriteBinary(store::ByteWriter& out) const {
   // Pristine instances (no Sec. 6 updates since freeze — the common
-  // snapshot-shipping path) whose in-memory arenas already use the target
-  // layout emit their frozen arena blocks verbatim. Otherwise
-  // canonicalize: fold overlays/tombstones into fresh arenas in the
-  // target layout, so the file holds exactly the live postings (this also
-  // covers cross-version conversion, e.g. a v2-loaded flat index written
-  // as v3 blocked). Encoding is deterministic, so both paths produce
-  // identical bytes for identical live postings and layout.
+  // snapshot-shipping path) emit their frozen arena blocks verbatim.
+  // Otherwise canonicalize: fold overlays/tombstones into fresh arenas, so
+  // the file holds exactly the live postings. Encoding is deterministic,
+  // so both paths produce identical bytes for identical live postings.
   const bool pristine =
       cc_overlay_.empty() && cc_removed_.empty() &&
       cc_count_ == cc_arena_.num_lists() &&
-      tl_arena_.layout() == layout && cc_arena_.layout() == layout &&
       std::all_of(clusters_.begin(), clusters_.end(),
                   [](const Cluster& c) { return !c.tl.has_overlay(); });
   store::PostingArena tl = tl_arena_;
   store::PostingArena cc = cc_arena_;
   if (!pristine) {
-    store::PostingArenaBuilder tl_builder(layout);
+    store::PostingArenaBuilder tl_builder;
     for (const Cluster& c : clusters_) {
       tl_builder.AddPairList(c.tl.Materialize());
     }
     tl = tl_builder.Finish();
-    store::PostingArenaBuilder cc_builder(layout);
+    store::PostingArenaBuilder cc_builder;
     for (traj::TrajId t = 0; t < cc_count_; ++t) {
       cc_builder.AddU32List(cluster_sequence(t));
     }
@@ -426,8 +232,8 @@ void ClusterIndex::WriteBinary(store::ByteWriter& out,
   put_array(removed_bits.data(), removed_bits.size());
 }
 
-bool ClusterIndex::ReadBinary(store::ByteReader& in, store::ListLayout layout,
-                              ClusterIndex* out, std::string* error) {
+bool ClusterIndex::ReadBinary(store::ByteReader& in, ClusterIndex* out,
+                              std::string* error) {
   ClusterIndex index;
   index.config_.radius_m = in.F64();
   index.config_.gamma = in.F64();
@@ -513,10 +319,10 @@ bool ClusterIndex::ReadBinary(store::ByteReader& in, store::ListLayout layout,
   // every varint stream before anything trusts them.
   if (!store::PostingArena::FromBlocks(
           arrays[kArrTlData], arrays[kArrTlOffsets], num_clusters,
-          store::ListKind::kPair, layout, &index.tl_arena_, error) ||
+          store::ListKind::kPair, &index.tl_arena_, error) ||
       !store::PostingArena::FromBlocks(
           arrays[kArrCcData], arrays[kArrCcOffsets], num_seqs,
-          store::ListKind::kU32, layout, &index.cc_arena_, error)) {
+          store::ListKind::kU32, &index.cc_arena_, error)) {
     return false;
   }
   index.cc_count_ = num_seqs;
@@ -557,132 +363,10 @@ bool ClusterIndex::ReadBinary(store::ByteReader& in, store::ListLayout layout,
 }
 
 // ---------------------------------------------------------------------------
-// MultiIndex — v1 text
-// ---------------------------------------------------------------------------
-
-void WriteIndex(const MultiIndex& index, std::ostream& os) {
-  WriteIndex(index, nullptr, os);
-}
-
-void WriteIndex(const MultiIndex& index,
-                const graph::spf::DistanceBackend* backend, std::ostream& os) {
-  os << std::setprecision(12);
-  os << "netclus-index v1\n";
-  os << "meta " << index.config_.gamma << " " << index.tau_min_ << " "
-     << index.tau_max_ << " " << index.build_seconds_ << " "
-     << index.instances_.size() << "\n";
-  size_t nodes = 0;
-  size_t trajs = 0;
-  if (!index.instances_.empty()) {
-    nodes = index.instances_[0]->num_nodes();
-    trajs = index.instances_[0]->num_sequences();
-  }
-  os << "corpus " << nodes << " " << trajs << "\n";
-  for (const auto& instance : index.instances_) instance->WriteTo(os);
-  if (backend != nullptr) {
-    os << "backend " << graph::spf::BackendName(backend->kind()) << "\n";
-    if (backend->kind() == graph::spf::BackendKind::kContractionHierarchies) {
-      static_cast<const graph::spf::ContractionHierarchy*>(backend)->WriteTo(
-          os);
-    }
-  }
-  os << "end\n";
-}
-
-bool ReadIndex(std::istream& is, size_t expected_nodes,
-               size_t expected_trajectories, MultiIndex* index,
-               std::string* error) {
-  return ReadIndex(is, expected_nodes, expected_trajectories, index, error,
-                   nullptr, nullptr);
-}
-
-bool ReadIndex(std::istream& is, size_t expected_nodes,
-               size_t expected_trajectories, MultiIndex* index,
-               std::string* error, const graph::RoadNetwork* net,
-               std::shared_ptr<const graph::spf::DistanceBackend>* backend) {
-  std::string header;
-  std::getline(is, header);
-  if (util::Trim(header) != "netclus-index v1") {
-    return Fail(error, "missing/unknown index header");
-  }
-  MultiIndex loaded;
-  uint64_t instances = 0;
-  if (!Expect(is, "meta", error)) return false;
-  if (!(is >> loaded.config_.gamma >> loaded.tau_min_ >> loaded.tau_max_ >>
-        loaded.build_seconds_ >> instances)) {
-    return Fail(error, "bad meta line");
-  }
-  if (instances > kMaxInstances) {
-    return Fail(error, "implausible instance count");
-  }
-  size_t nodes = 0, trajs = 0;
-  if (!Expect(is, "corpus", error) || !(is >> nodes >> trajs)) {
-    return Fail(error, "bad corpus line");
-  }
-  if (nodes != expected_nodes) {
-    return Fail(error,
-                util::StrFormat("index built over %zu nodes, corpus has %zu",
-                                nodes, expected_nodes));
-  }
-  if (trajs > expected_trajectories) {
-    return Fail(error, util::StrFormat(
-                           "index references %zu trajectories, corpus has %zu",
-                           trajs, expected_trajectories));
-  }
-  for (size_t p = 0; p < instances; ++p) {
-    auto instance = std::make_unique<ClusterIndex>();
-    if (!ClusterIndex::ReadFrom(is, instance.get(), error)) return false;
-    // Every instance must span the live corpus: the query engine indexes
-    // per-node and per-trajectory arrays by live ids, so an instance with
-    // its own (file-controlled) smaller id space would read out of bounds
-    // at query time.
-    if (instance->num_nodes() != expected_nodes) {
-      return Fail(error, "instance node count mismatch");
-    }
-    if (instance->num_sequences() > expected_trajectories) {
-      return Fail(error, "instance trajectory count mismatch");
-    }
-    loaded.instances_.push_back(std::move(instance));
-  }
-  std::string tail;
-  if (!(is >> tail)) return Fail(error, "truncated index (missing end)");
-  if (tail == "backend") {
-    std::string name;
-    if (!(is >> name)) return Fail(error, "truncated backend section");
-    const std::optional<graph::spf::BackendKind> kind =
-        graph::spf::ParseBackendName(name);
-    if (!kind.has_value()) return Fail(error, "unknown backend: " + name);
-    if (*kind == graph::spf::BackendKind::kContractionHierarchies) {
-      if (net == nullptr || backend == nullptr) {
-        // Caller has no network to validate against: skip reconstruction
-        // but still consume the payload so "end" parses.
-        std::string token;
-        while (is >> token && token != "end_ch") {
-        }
-        if (token != "end_ch") return Fail(error, "truncated ch payload");
-      } else {
-        std::unique_ptr<graph::spf::ContractionHierarchy> ch;
-        if (!graph::spf::ContractionHierarchy::ReadFrom(is, net, &ch, error)) {
-          return false;
-        }
-        *backend = std::move(ch);
-      }
-    } else if (net != nullptr && backend != nullptr) {
-      *backend = graph::spf::MakeBackend(*kind, net);
-    }
-    if (!Expect(is, "end", error)) return false;
-  } else if (tail != "end") {
-    return Fail(error, "expected 'end', got '" + tail + "'");
-  }
-  *index = std::move(loaded);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// MultiIndex — v2 binary
+// MultiIndex — the index file
 //
 // File layout (all little-endian; see docs/index_format.md):
-//   header  : magic "NCIXBIN2", endian probe, version, file size,
+//   header  : magic "NCIXBIN3", endian probe, version, file size,
 //             section-table offset, section count
 //   sections: 8-aligned payloads (meta, one per instance, optional
 //             backend)
@@ -691,18 +375,14 @@ bool ReadIndex(std::istream& is, size_t expected_nodes,
 
 namespace {
 
-constexpr char kV2Magic[8] = {'N', 'C', 'I', 'X', 'B', 'I', 'N', '2'};
-constexpr char kV3Magic[8] = {'N', 'C', 'I', 'X', 'B', 'I', 'N', '3'};
+constexpr char kMagic[8] = {'N', 'C', 'I', 'X', 'B', 'I', 'N', '3'};
 constexpr uint32_t kEndianProbe = 0x01020304;
-constexpr uint32_t kV2Version = 2;
-constexpr uint32_t kV3Version = 3;
+constexpr uint32_t kVersion = 3;
+constexpr char kMagicError[] = "missing/unknown index magic (want NCIXBIN3)";
 
-// The arena wire layout is the only difference between the v2 and v3
-// containers: v2 files hold flat varint streams with plain u64 offset
-// tables, v3 files hold 128-entry blocked streams with Elias–Fano offsets.
-store::ListLayout LayoutForVersion(uint32_t version) {
-  return version >= kV3Version ? store::ListLayout::kBlocked
-                               : store::ListLayout::kFlat;
+bool HasMagic(const void* data, size_t size) {
+  return size >= sizeof(kMagic) &&
+         std::memcmp(data, kMagic, sizeof(kMagic)) == 0;
 }
 
 enum SectionKind : uint32_t {
@@ -718,29 +398,13 @@ struct Section {
   uint64_t checksum = 0;
 };
 
-}  // namespace
-
-bool IsV2IndexImage(const uint8_t* data, size_t size) {
-  return size >= sizeof(kV2Magic) &&
-         std::memcmp(data, kV2Magic, sizeof(kV2Magic)) == 0;
-}
-
-bool IsBinaryIndexImage(const uint8_t* data, size_t size) {
-  return IsV2IndexImage(data, size) ||
-         (size >= sizeof(kV3Magic) &&
-          std::memcmp(data, kV3Magic, sizeof(kV3Magic)) == 0);
-}
-
-namespace {
-
-// Produces the v2 sections one at a time through `emit(kind, payload)`,
+// Produces the sections one at a time through `emit(kind, payload)`,
 // so the streaming writer below holds at most one section's bytes in
 // memory at once (the whole-image transient of a country-scale index
 // would rival the index itself). Uses only the public MultiIndex API.
 template <typename Emit>
-void ForEachV2Section(const MultiIndex& index,
-                      const graph::spf::DistanceBackend* backend,
-                      store::ListLayout layout, Emit&& emit) {
+void ForEachSection(const MultiIndex& index,
+                    const graph::spf::DistanceBackend* backend, Emit&& emit) {
   {
     store::ByteWriter meta;
     meta.F64(index.gamma());
@@ -759,7 +423,7 @@ void ForEachV2Section(const MultiIndex& index,
   }
   for (size_t p = 0; p < index.num_instances(); ++p) {
     store::ByteWriter blob;
-    index.instance(p).WriteBinary(blob, layout);
+    index.instance(p).WriteBinary(blob);
     emit(kSectionInstance, blob.TakeBytes());
   }
   if (backend != nullptr) {
@@ -782,20 +446,17 @@ void ForEachV2Section(const MultiIndex& index,
 
 }  // namespace
 
-namespace {
-
-void WriteIndexBinary(const MultiIndex& index,
-                      const graph::spf::DistanceBackend* backend,
-                      uint32_t version, std::ostream& os) {
+void WriteIndex(const MultiIndex& index,
+                const graph::spf::DistanceBackend* backend, std::ostream& os) {
   auto put_u32 = [&os](uint32_t v) {
     os.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
   auto put_u64 = [&os](uint64_t v) {
     os.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
-  os.write(version >= kV3Version ? kV3Magic : kV2Magic, sizeof(kV2Magic));
+  os.write(kMagic, sizeof(kMagic));
   put_u32(kEndianProbe);
-  put_u32(version);
+  put_u32(kVersion);
   const std::streampos file_size_pos = os.tellp();
   put_u64(0);  // file size, patched below
   const std::streampos table_offset_pos = os.tellp();
@@ -813,20 +474,19 @@ void WriteIndexBinary(const MultiIndex& index,
       ++pos;
     }
   };
-  ForEachV2Section(index, backend, LayoutForVersion(version),
-                   [&](uint32_t kind, std::vector<uint8_t> payload) {
-                     align8();
-                     Section s;
-                     s.kind = kind;
-                     s.offset = pos;
-                     s.bytes = payload.size();
-                     s.checksum =
-                         store::Fnv1a64(payload.data(), payload.size());
-                     os.write(reinterpret_cast<const char*>(payload.data()),
-                              static_cast<std::streamsize>(payload.size()));
-                     pos += payload.size();
-                     sections.push_back(s);
-                   });
+  ForEachSection(index, backend,
+                 [&](uint32_t kind, std::vector<uint8_t> payload) {
+                   align8();
+                   Section s;
+                   s.kind = kind;
+                   s.offset = pos;
+                   s.bytes = payload.size();
+                   s.checksum = store::Fnv1a64(payload.data(), payload.size());
+                   os.write(reinterpret_cast<const char*>(payload.data()),
+                            static_cast<std::streamsize>(payload.size()));
+                   pos += payload.size();
+                   sections.push_back(s);
+                 });
 
   align8();
   const uint64_t table_offset = pos;
@@ -845,59 +505,29 @@ void WriteIndexBinary(const MultiIndex& index,
   os.seekp(0, std::ios::end);
 }
 
-}  // namespace
-
-void WriteIndexV2(const MultiIndex& index,
-                  const graph::spf::DistanceBackend* backend,
-                  std::ostream& os) {
-  WriteIndexBinary(index, backend, kV2Version, os);
-}
-
-void WriteIndexV3(const MultiIndex& index,
-                  const graph::spf::DistanceBackend* backend,
-                  std::ostream& os) {
-  WriteIndexBinary(index, backend, kV3Version, os);
-}
-
-std::vector<uint8_t> EncodeIndexV2(const MultiIndex& index,
-                                   const graph::spf::DistanceBackend* backend) {
+std::vector<uint8_t> EncodeIndex(const MultiIndex& index,
+                                 const graph::spf::DistanceBackend* backend) {
   std::ostringstream buffer;
-  WriteIndexV2(index, backend, buffer);
+  WriteIndex(index, backend, buffer);
   const std::string bytes = std::move(buffer).str();
   return std::vector<uint8_t>(bytes.begin(), bytes.end());
 }
 
-std::vector<uint8_t> EncodeIndexV3(const MultiIndex& index,
-                                   const graph::spf::DistanceBackend* backend) {
-  std::ostringstream buffer;
-  WriteIndexV3(index, backend, buffer);
-  const std::string bytes = std::move(buffer).str();
-  return std::vector<uint8_t>(bytes.begin(), bytes.end());
-}
-
-bool ReadIndexV2(store::ByteBlock block, size_t expected_nodes,
-                 size_t expected_trajectories, MultiIndex* index,
-                 std::string* error, const graph::RoadNetwork* net,
-                 std::shared_ptr<const graph::spf::DistanceBackend>* backend) {
+bool ReadIndex(store::ByteBlock block, size_t expected_nodes,
+               size_t expected_trajectories, MultiIndex* index,
+               std::string* error, const graph::RoadNetwork* net,
+               std::shared_ptr<const graph::spf::DistanceBackend>* backend) {
+  if (!HasMagic(block.data(), block.size())) return Fail(error, kMagicError);
   store::ByteReader header(block);
-  char magic[sizeof(kV2Magic)] = {};
-  if (!header.Bytes(magic, sizeof(magic)) ||
-      !IsBinaryIndexImage(reinterpret_cast<const uint8_t*>(magic),
-                          sizeof(magic))) {
-    return Fail(error, "missing/unknown binary index magic");
-  }
-  const uint32_t magic_version =
-      std::memcmp(magic, kV3Magic, sizeof(magic)) == 0 ? kV3Version
-                                                       : kV2Version;
+  header.Skip(sizeof(kMagic));
   if (header.U32() != kEndianProbe) {
     return Fail(error, "endianness mismatch or corrupt header");
   }
   // The version field must agree with the magic — a mismatch means a
   // corrupt or hand-edited header, not a future format.
-  if (header.U32() != magic_version) {
+  if (header.U32() != kVersion) {
     return Fail(error, "unsupported index format version");
   }
-  const store::ListLayout layout = LayoutForVersion(magic_version);
   const uint64_t file_size = header.U64();
   const uint64_t table_offset = header.U64();
   const uint32_t section_count = header.U32();
@@ -966,7 +596,7 @@ bool ReadIndexV2(store::ByteBlock block, size_t expected_nodes,
       }
       case kSectionInstance: {
         auto instance = std::make_unique<ClusterIndex>();
-        if (!ClusterIndex::ReadBinary(r, layout, instance.get(), error)) {
+        if (!ClusterIndex::ReadBinary(r, instance.get(), error)) {
           return false;
         }
         // Cross-check the blob's self-declared id spaces against the live
@@ -1032,24 +662,34 @@ bool ReadIndexV2(store::ByteBlock block, size_t expected_nodes,
 // ---------------------------------------------------------------------------
 
 bool SaveIndex(const MultiIndex& index, const std::string& path,
-               std::string* error, IndexFileFormat format) {
-  return SaveIndex(index, nullptr, path, error, format);
+               std::string* error) {
+  return SaveIndex(index, nullptr, path, error);
 }
 
 bool SaveIndex(const MultiIndex& index,
                const graph::spf::DistanceBackend* backend,
-               const std::string& path, std::string* error,
-               IndexFileFormat format) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Fail(error, "cannot open for write: " + path);
-  if (format == IndexFileFormat::kTextV1) {
-    WriteIndex(index, backend, out);
-  } else if (format == IndexFileFormat::kBinaryV2) {
-    WriteIndexV2(index, backend, out);  // streams section by section
-  } else {
-    WriteIndexV3(index, backend, out);  // streams section by section
+               const std::string& path, std::string* error) {
+  // Write a sibling file and rename it over `path`. Truncating `path` in
+  // place would pull the bytes out from under any index mmap-loaded from
+  // it — including `index` itself, whose pristine arenas are copied out
+  // of that mapping below (SIGBUS). Renaming keeps the old inode alive for
+  // live mappings, and a failed write leaves the previous file intact.
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Fail(error, "cannot open for write: " + tmp);
+    WriteIndex(index, backend, out);  // streams section by section
+    out.close();
+    if (!out) {
+      std::remove(tmp.c_str());
+      return Fail(error, "write failed: " + tmp);
+    }
   }
-  if (!out) return Fail(error, "write failed: " + path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const std::string why = std::strerror(errno);
+    std::remove(tmp.c_str());
+    return Fail(error, "cannot replace " + path + ": " + why);
+  }
   return true;
 }
 
@@ -1065,19 +705,16 @@ bool LoadIndex(const std::string& path, size_t expected_nodes,
                std::string* error, const graph::RoadNetwork* net,
                std::shared_ptr<const graph::spf::DistanceBackend>* backend,
                IndexLoadMode mode) {
-  // Sniff the magic so all formats load through one entry point.
-  char magic[sizeof(kV2Magic)] = {};
+  // Check the magic before mapping, so a file in any other format (or an
+  // empty one, which cannot be mapped) fails with the same error in every
+  // load mode.
   {
     std::ifstream probe(path, std::ios::binary);
     if (!probe) return Fail(error, "cannot open for read: " + path);
+    char magic[sizeof(kMagic)] = {};
     probe.read(magic, sizeof(magic));
-    if (probe.gcount() < static_cast<std::streamsize>(sizeof(magic)) ||
-        !IsBinaryIndexImage(reinterpret_cast<const uint8_t*>(magic),
-                            sizeof(magic))) {
-      std::ifstream in(path);
-      if (!in) return Fail(error, "cannot open for read: " + path);
-      return ReadIndex(in, expected_nodes, expected_trajectories, index, error,
-                       net, backend);
+    if (!HasMagic(magic, static_cast<size_t>(probe.gcount()))) {
+      return Fail(error, kMagicError);
     }
   }
 
@@ -1103,8 +740,8 @@ bool LoadIndex(const std::string& path, size_t expected_nodes,
     block = store::ReadFileBlock(path, error);
     if (block.empty()) return false;
   }
-  if (!ReadIndexV2(std::move(block), expected_nodes, expected_trajectories,
-                   index, error, net, backend)) {
+  if (!ReadIndex(std::move(block), expected_nodes, expected_trajectories,
+                 index, error, net, backend)) {
     return false;
   }
   // Load-time validation touched (and its page faults made resident) the

@@ -3,25 +3,23 @@
 // The offline phase (multi-resolution clustering) is the expensive part of
 // the system — hours on the paper's full Beijing dataset (Table 11) — while
 // the online phase is interactive. A deployment therefore builds the index
-// once and serves queries from a loaded copy. Two file formats:
+// once and serves queries from a loaded copy. The file is one versioned
+// little-endian binary layout (magic "NCIXBIN3", format version 3): a
+// section table with per-section FNV-1a checksums, and posting arenas
+// stored verbatim as 128-entry blocked varint streams (per-block skip
+// headers, SIMD bulk decode) with Elias–Fano offset tables. Any file
+// without that magic is rejected (docs/index_format.md covers converting
+// files written in earlier formats).
 //
-//  * v1 — the original line-oriented text format, still written on request
-//    and always readable (backward compatibility).
-//  * v2 — a versioned little-endian binary layout (magic "NCIXBIN2",
-//    section table, per-section FNV-1a checksums) whose posting arenas are
-//    stored verbatim as flat varint streams with plain u64 offset tables.
-//  * v3 — the same container (magic "NCIXBIN3") with block-structured
-//    posting arenas: 128-entry blocks with per-block skip headers (SIMD
-//    bulk decode, O(blocks) skipping) and Elias–Fano compressed offset
-//    tables. The default write format; v2 and v1 stay readable forever.
-//
-// Loading a binary file either copies it once into a heap block or mmaps
-// it; in both cases the compressed TL/CC arenas alias the backing block
+// Loading either copies the file once into a heap block or mmaps it; in
+// both cases the compressed TL/CC arenas alias the backing block
 // zero-copy, so Engine::LoadIndexFromFile and the serving layer's
 // snapshots share one set of immutable posting bytes. On the mmap path a
 // nonzero NETCLUS_PAGE_BUDGET attaches a store::BufferPool that caps how
 // much of the mapping stays resident — larger-than-RAM indexes serve
-// within a fixed budget. See docs/index_format.md for the byte layout.
+// within a fixed budget. Saving writes a sibling file and renames it over
+// the target, so saving over a file that is mapped stays safe. See
+// docs/index_format.md for the byte layout.
 //
 // The road network and the trajectory store are NOT serialized here — they
 // are the inputs (persist them with graph::SaveGraph and your trajectory
@@ -31,7 +29,7 @@
 // backend section: the kind is always recorded, and a Contraction
 // Hierarchies backend serializes its full preprocessed hierarchy, so a
 // deployment that ships index snapshots never re-contracts on load. Files
-// without the section (pre-spf) still load.
+// without the section still load.
 //
 // Malformed input — truncated files, corrupt counts, checksum mismatches —
 // fails loudly with a message in `error` and never yields a
@@ -49,52 +47,32 @@
 
 namespace netclus::index {
 
-/// On-disk format selector for SaveIndex.
-enum class IndexFileFormat {
-  kTextV1,    ///< line-oriented text (original format)
-  kBinaryV2,  ///< sectioned binary with checksums + flat zero-copy arenas
-  kBinaryV3,  ///< v2 container with blocked arenas + Elias–Fano offsets
-};
-
-/// How LoadIndex materializes a v2 file (v1 text always streams).
+/// How LoadIndex materializes the file.
 enum class IndexLoadMode {
   kAuto,  ///< mmap when available unless NETCLUS_INDEX_MMAP=0; else copy
   kCopy,  ///< read the file into one heap block
   kMmap,  ///< map the file; posting arenas alias the mapping (zero copy)
 };
 
-/// Writes the full multi-resolution index to the stream in v1 text;
-/// `backend` (may be null) is recorded in the trailing backend section.
-void WriteIndex(const MultiIndex& index, std::ostream& os);
+/// Streams the index (and optional backend, may be null) to `os`, one
+/// section at a time — peak transient memory is one serialized section,
+/// not the whole image. Requires a seekable stream (the header and
+/// section table are patched at the end). The image is self-contained
+/// relative to the stream position at entry: all recorded offsets count
+/// from the image's first byte, so an image embedded after a preamble
+/// must later be handed to ReadIndex as a block starting at that position
+/// (LoadIndex expects the image at file offset 0).
 void WriteIndex(const MultiIndex& index,
                 const graph::spf::DistanceBackend* backend, std::ostream& os);
 
-/// Streams the index (and optional backend) to `os` in the v2 binary
-/// format, one section at a time — peak transient memory is one
-/// serialized section, not the whole image. Requires a seekable stream
-/// (the header and section table are patched at the end). The image is
-/// self-contained relative to the stream position at entry: all recorded
-/// offsets count from the image's first byte, so an image embedded after
-/// a preamble must later be handed to ReadIndexV2 as a block starting at
-/// that position (LoadIndex expects the image at file offset 0).
-void WriteIndexV2(const MultiIndex& index,
-                  const graph::spf::DistanceBackend* backend,
-                  std::ostream& os);
+/// Serializes the index (and optional backend) into an image held in
+/// memory (tests and small indexes; SaveIndex streams instead).
+std::vector<uint8_t> EncodeIndex(const MultiIndex& index,
+                                 const graph::spf::DistanceBackend* backend);
 
-/// Same container as WriteIndexV2 but magic "NCIXBIN3" and blocked
-/// posting arenas with Elias–Fano offsets (the SaveIndex default).
-void WriteIndexV3(const MultiIndex& index,
-                  const graph::spf::DistanceBackend* backend,
-                  std::ostream& os);
-
-/// Serializes the index (and optional backend) into a v2/v3 binary image
-/// held in memory (tests and small indexes; SaveIndex streams instead).
-std::vector<uint8_t> EncodeIndexV2(const MultiIndex& index,
-                                   const graph::spf::DistanceBackend* backend);
-std::vector<uint8_t> EncodeIndexV3(const MultiIndex& index,
-                                   const graph::spf::DistanceBackend* backend);
-
-/// Reads an index previously written by WriteIndex (v1 text stream).
+/// Parses an index image. The block may alias an mmap'ed file or a heap
+/// read; the loaded index's posting arenas alias it either way (and keep
+/// it alive). Checksums are verified before anything is trusted.
 /// `expected_nodes` and `expected_trajectories` guard against loading an
 /// index built over a different network/corpus (pass the live counts).
 /// Returns false with a message in `error` on any mismatch or malformed
@@ -102,39 +80,19 @@ std::vector<uint8_t> EncodeIndexV3(const MultiIndex& index,
 ///
 /// When `net` and `backend` are given, a backend section in the file is
 /// reconstructed over `net` into `*backend` (left null when the file has
-/// none — pre-spf files load unchanged).
-bool ReadIndex(std::istream& is, size_t expected_nodes,
-               size_t expected_trajectories, MultiIndex* index,
-               std::string* error);
-bool ReadIndex(std::istream& is, size_t expected_nodes,
+/// none).
+bool ReadIndex(store::ByteBlock block, size_t expected_nodes,
                size_t expected_trajectories, MultiIndex* index,
                std::string* error, const graph::RoadNetwork* net,
                std::shared_ptr<const graph::spf::DistanceBackend>* backend);
 
-/// Parses a v2 or v3 binary image (the magic selects the arena layout).
-/// The block may alias an mmap'ed file or a heap read; the loaded index's
-/// posting arenas alias it either way (and keep it alive). Checksums are
-/// verified before anything is trusted.
-bool ReadIndexV2(store::ByteBlock block, size_t expected_nodes,
-                 size_t expected_trajectories, MultiIndex* index,
-                 std::string* error, const graph::RoadNetwork* net,
-                 std::shared_ptr<const graph::spf::DistanceBackend>* backend);
-
-/// True when `block` starts with the v2 magic (exactly "NCIXBIN2").
-bool IsV2IndexImage(const uint8_t* data, size_t size);
-
-/// True when `block` starts with any supported binary magic (v2 or v3).
-bool IsBinaryIndexImage(const uint8_t* data, size_t size);
-
-/// File convenience wrappers. SaveIndex defaults to the v3 binary format;
-/// LoadIndex sniffs the magic, so it reads all formats transparently.
+/// File convenience wrappers. LoadIndex rejects any file without the
+/// format's magic.
 bool SaveIndex(const MultiIndex& index, const std::string& path,
-               std::string* error,
-               IndexFileFormat format = IndexFileFormat::kBinaryV3);
+               std::string* error);
 bool SaveIndex(const MultiIndex& index,
                const graph::spf::DistanceBackend* backend,
-               const std::string& path, std::string* error,
-               IndexFileFormat format = IndexFileFormat::kBinaryV3);
+               const std::string& path, std::string* error);
 bool LoadIndex(const std::string& path, size_t expected_nodes,
                size_t expected_trajectories, MultiIndex* index,
                std::string* error);

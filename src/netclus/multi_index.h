@@ -104,19 +104,11 @@ class MultiIndex {
       const graph::spf::DistanceBackend* backend = nullptr);
 
  private:
-  friend void WriteIndex(const MultiIndex& index,
-                         const graph::spf::DistanceBackend* backend,
-                         std::ostream& os);
-  friend bool ReadIndex(std::istream& is, size_t expected_nodes,
+  friend bool ReadIndex(store::ByteBlock block, size_t expected_nodes,
                         size_t expected_trajectories, MultiIndex* index,
                         std::string* error, const graph::RoadNetwork* net,
                         std::shared_ptr<const graph::spf::DistanceBackend>*
                             backend);
-  friend bool ReadIndexV2(store::ByteBlock block, size_t expected_nodes,
-                          size_t expected_trajectories, MultiIndex* index,
-                          std::string* error, const graph::RoadNetwork* net,
-                          std::shared_ptr<const graph::spf::DistanceBackend>*
-                              backend);
   MultiIndexConfig config_;
   double tau_min_ = 0.0;
   double tau_max_ = 0.0;

@@ -7,7 +7,7 @@ namespace netclus::store {
 
 namespace {
 
-/// Validates one kBlocked list: skip headers in bounds, payload lengths
+/// Validates one blocked list: skip headers in bounds, payload lengths
 /// truthful, every payload varint 32-bit bounded, block structure
 /// consistent with the advertised count. Uses the scalar kernel so
 /// validation is identical regardless of SIMD dispatch.
@@ -58,39 +58,29 @@ void PostingArena::TouchPool(const uint8_t* p, size_t len) const {
 
 bool PostingArena::FromBlocks(ByteBlock data, ByteBlock offsets,
                               size_t num_lists, ListKind kind,
-                              ListLayout layout, PostingArena* out,
-                              std::string* error) {
+                              PostingArena* out, std::string* error) {
   auto fail = [error](const std::string& message) {
     if (error != nullptr) *error = message;
     return false;
   };
   PostingArena arena;
-  arena.layout_ = layout;
-  if (layout == ListLayout::kFlat) {
-    const size_t expected_offset_bytes = (num_lists + 1) * sizeof(uint64_t);
-    if (offsets.size() != expected_offset_bytes) {
-      return fail(util::StrFormat("arena offset table: %zu bytes, want %zu",
-                                  offsets.size(), expected_offset_bytes));
-    }
-  } else {
-    std::string ef_error;
-    if (!EliasFanoView::Parse(offsets.data(), offsets.size(),
-                              &arena.ef_offsets_, &ef_error)) {
-      return fail("arena offset table: " + ef_error);
-    }
-    if (arena.ef_offsets_.size() != num_lists + 1) {
-      return fail(util::StrFormat("arena offset table: %zu values, want %zu",
-                                  arena.ef_offsets_.size(), num_lists + 1));
-    }
+  std::string ef_error;
+  if (!EliasFanoView::Parse(offsets.data(), offsets.size(), &arena.ef_offsets_,
+                            &ef_error)) {
+    return fail("arena offset table: " + ef_error);
+  }
+  if (arena.ef_offsets_.size() != num_lists + 1) {
+    return fail(util::StrFormat("arena offset table: %zu values, want %zu",
+                                arena.ef_offsets_.size(), num_lists + 1));
   }
   arena.data_ = std::move(data);
   arena.offsets_ = std::move(offsets);
   arena.num_lists_ = num_lists;
 
-  uint64_t prev = arena.offset(0);
+  uint64_t prev = arena.ef_offsets_.Get(0);
   if (prev != 0) return fail("arena offsets must start at 0");
   for (size_t i = 1; i <= num_lists; ++i) {
-    const uint64_t off = arena.offset(i);
+    const uint64_t off = arena.ef_offsets_.Get(i);
     if (off < prev || off > arena.data_.size()) {
       return fail(util::StrFormat("arena offset %zu out of order/bounds", i));
     }
@@ -107,39 +97,22 @@ bool PostingArena::FromBlocks(ByteBlock data, ByteBlock offsets,
   uint64_t entries = 0;
   for (size_t i = 0; i < num_lists; ++i) {
     const uint8_t* base = arena.data_.data();
-    const uint8_t* p0 = base + arena.offset(i);
-    const uint8_t* end = base + arena.offset(i + 1);
+    const uint8_t* p0 = base + arena.ef_offsets_.Get(i);
+    const uint8_t* end = base + arena.ef_offsets_.Get(i + 1);
     uint64_t count = 0;
     const uint8_t* p = GetVarint64(p0, end, &count);
     if (p == nullptr) return fail(util::StrFormat("arena list %zu: bad count", i));
-    // Every varint is at least one byte, so a count the remaining bytes
-    // cannot possibly hold is rejected up front — this also keeps the
-    // loop bounds below from overflowing on a crafted count near 2^64.
-    // (Blocked lists spend >= 1 byte per entry too: payload deltas for
-    // all but each block's first entry, and >= 2 header bytes per block.)
-    const uint64_t max_entries =
-        layout == ListLayout::kBlocked
-            ? static_cast<uint64_t>(end - p)
-            : static_cast<uint64_t>(end - p) / varints_per_entry;
-    if (count > max_entries) {
+    // Every entry costs at least one byte — a payload delta for all but
+    // each block's first entry, and >= 2 header bytes per block — so a
+    // count the remaining bytes cannot possibly hold is rejected up front.
+    // This also keeps the block walk from overflowing on a crafted count
+    // near 2^64.
+    if (count > static_cast<uint64_t>(end - p)) {
       return fail(util::StrFormat("arena list %zu: implausible count", i));
     }
-    if (layout == ListLayout::kBlocked) {
-      std::string why;
-      if (!ValidateBlockedList(p, end, count, varints_per_entry, &why)) {
-        return fail(util::StrFormat("arena list %zu: ", i) + why);
-      }
-    } else {
-      for (uint64_t e = 0; e < count * varints_per_entry; ++e) {
-        uint64_t unused = 0;
-        p = GetVarint64(p, end, &unused);
-        if (p == nullptr) {
-          return fail(util::StrFormat("arena list %zu: truncated entries", i));
-        }
-      }
-      if (p != end) {
-        return fail(util::StrFormat("arena list %zu: trailing bytes", i));
-      }
+    std::string why;
+    if (!ValidateBlockedList(p, end, count, varints_per_entry, &why)) {
+      return fail(util::StrFormat("arena list %zu: ", i) + why);
     }
     entries += count;
   }

@@ -7,34 +7,27 @@
 // arena packs all lists of one family into a single immutable byte buffer:
 //
 //   data:    list_0 | list_1 | ... | list_{n-1}
-//   offsets: list extents — a plain uint64 LE array (n+1 entries, flat
-//            layout) or an Elias-Fano table (rank_select.h, blocked
-//            layout), offsets[i] = byte offset of list_i in `data`
+//   offsets: list extents as an Elias-Fano table (rank_select.h) of n+1
+//            values, offsets[i] = byte offset of list_i in `data`
 //            (offsets[n] = data size)
 //
-// Two list layouts share the arena structure:
+// Each list is `varint(count)` then the entries framed as blocks of up to
+// kBlockEntries (128), each block:
 //
-//   * kFlat (v2 index format) — `varint(count)` then count entries,
-//     delta+zigzag coded with the 64-bit transform (varint.h). Decoded
-//     one element at a time.
+//   header:  varint(first-value delta, ZigZag32 from the previous block's
+//            first value — per pair-list chain for pairs)
+//            varint(payload byte length)
+//   payload: the remaining block entries, ZigZag32 delta-coded from the
+//            block's first value
 //
-//   * kBlocked (v3, the in-memory default) — `varint(count)` then the
-//     entries framed as blocks of up to kBlockEntries (128), each block:
+// The headers are skip headers: chaining first values through them (not
+// through the payload) means a reader can hop block to block in
+// O(blocks) without decoding payloads, and the 32-bit-bounded ZigZag32
+// transform lets payloads decode through the SIMD bulk kernel
+// (store/simd/bulk_varint.h) into a stack scratch buffer — that is the
+// ForEach fast path the solvers' inner loops use.
 //
-//       header:  varint(first-value delta, ZigZag32 from the previous
-//                block's first value — per pair-list chain for pairs)
-//                varint(payload byte length)
-//       payload: the remaining block entries, ZigZag32 delta-coded from
-//                the block's first value
-//
-//     The headers are skip headers: chaining first values through them
-//     (not through the payload) means a reader can hop block to block in
-//     O(blocks) without decoding payloads, and the 32-bit-bounded
-//     ZigZag32 transform lets payloads decode through the SIMD bulk
-//     kernel (store/simd/bulk_varint.h) into a stack scratch buffer —
-//     that is the ForEach fast path the solvers' inner loops use.
-//
-// Two list kinds share each layout's framing:
+// Two list kinds share the block framing:
 //   * u32 lists  — one varint per entry (CC sequences);
 //   * pair lists — (u32 id, float) entries, two varints per entry: the id
 //     delta and the delta of the float's bit pattern (TL / TC / SC, whose
@@ -44,7 +37,7 @@
 //   * copying an index (MultiIndex::Clone, the serving layer's
 //     copy-on-write snapshots) shares the frozen bytes instead of
 //     duplicating them, and
-//   * the v2/v3 index files store arenas verbatim — loading can alias the
+//   * the index file stores arenas verbatim — loading can alias the
 //     bytes of an mmap'ed file (zero copy) or of a single heap read. When
 //     a BufferPool (buffer_pool.h) manages that mapping, every list
 //     access reports its byte range so residency stays under
@@ -55,8 +48,8 @@
 // solvers and the query engine traverse postings without materializing
 // vectors. The same view types also wrap raw (uncompressed) element
 // arrays, which lets call sites be agnostic about the storage mode. All
-// decode paths — iterator, ForEach, any SIMD kernel — reconstruct exact
-// integers, so results are bit-identical across layouts and kernels.
+// decode paths — iterator, ForEach, operator[], any SIMD kernel —
+// reconstruct exact integers, so results are bit-identical across kernels.
 #ifndef NETCLUS_STORE_ARENA_H_
 #define NETCLUS_STORE_ARENA_H_
 
@@ -76,13 +69,7 @@ namespace netclus::store {
 
 class BufferPool;
 
-/// How a list's entries are framed in the data buffer.
-enum class ListLayout {
-  kFlat,     ///< v2: one delta-varint run per list
-  kBlocked,  ///< v3: 128-entry blocks with skip headers (the default)
-};
-
-/// Entries per block in the kBlocked layout.
+/// Entries per block of a compressed list.
 inline constexpr size_t kBlockEntries = 128;
 
 /// Immutable refcounted byte buffer. Either owns its bytes (built from a
@@ -133,8 +120,8 @@ class ByteBlock {
 };
 
 /// Forward range over a u32 list: either a raw array or a compressed
-/// arena list (flat or blocked). Iteration decodes in place; ForEach is
-/// the bulk-decode fast path for blocked lists.
+/// arena list. Iteration decodes in place; ForEach is the bulk-decode
+/// fast path.
 class PostingListView {
  public:
   PostingListView() = default;
@@ -158,14 +145,6 @@ class PostingListView {
     view.packed_ = p;
     view.packed_end_ = end;
     view.count_ = static_cast<size_t>(count);
-    return view;
-  }
-
-  /// Same contract over a kBlocked list.
-  static PostingListView PackedBlocked(const uint8_t* begin,
-                                       const uint8_t* end) {
-    PostingListView view = Packed(begin, end);
-    view.blocked_ = true;
     return view;
   }
 
@@ -210,17 +189,6 @@ class PostingListView {
         current_ = *raw_++;
         return;
       }
-      if (!blocked_) {
-        uint32_t value = 0;
-        const uint8_t* next = GetU32Delta(p_, end_, current_, &value);
-        if (next == nullptr) {  // malformed stream: become end()
-          remaining_ = 0;
-          return;
-        }
-        p_ = next;
-        current_ = value;
-        return;
-      }
       if (in_block_left_ == 0) {
         // Block boundary: skip header (first-value delta, payload bytes).
         uint32_t first = 0;
@@ -229,7 +197,7 @@ class PostingListView {
         if (next != nullptr) next = GetVarint64(next, end_, &payload);
         if (next == nullptr ||
             payload > static_cast<uint64_t>(end_ - next)) {
-          remaining_ = 0;
+          remaining_ = 0;  // malformed stream: become end()
           return;
         }
         p_ = next;
@@ -256,7 +224,6 @@ class PostingListView {
     const uint8_t* end_ = nullptr;
     uint32_t current_ = 0;
     size_t remaining_ = 0;  // entries left including current_
-    bool blocked_ = false;
     uint32_t in_block_left_ = 0;  // entries left in the current block
     uint32_t first_prev_ = 0;     // previous block's first value
   };
@@ -267,24 +234,19 @@ class PostingListView {
     it.raw_ = raw_;
     it.p_ = packed_;
     it.end_ = packed_end_;
-    it.blocked_ = blocked_;
     if (count_ > 0) it.Decode();
     return it;
   }
   const_iterator end() const { return const_iterator(); }
 
-  /// Bulk traversal — the hot-loop entry point. Blocked lists decode a
+  /// Bulk traversal — the hot-loop entry point. Compressed lists decode a
   /// block at a time into a stack scratch buffer through the SIMD bulk
-  /// kernel; raw and flat lists loop in place. Yields exactly the
-  /// iterator's sequence.
+  /// kernel; raw lists loop in place. Yields exactly the iterator's
+  /// sequence.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     if (raw_ != nullptr) {
       for (size_t i = 0; i < count_; ++i) fn(raw_[i]);
-      return;
-    }
-    if (!blocked_) {
-      for (const uint32_t v : *this) fn(v);
       return;
     }
     uint32_t scratch[kBlockEntries];
@@ -318,42 +280,37 @@ class PostingListView {
     }
   }
 
-  /// O(1) for raw lists, O(blocks + in-block) for blocked (skip headers),
-  /// O(i) for flat — for tests and cold paths.
+  /// O(1) for raw lists, O(blocks + in-block) for compressed ones (skip
+  /// headers) — for tests and cold paths.
   uint32_t operator[](size_t i) const {
     if (raw_ != nullptr) return raw_[i];
-    if (blocked_) {
-      const uint8_t* p = packed_;
-      uint32_t first_prev = 0;
-      size_t skip = i / kBlockEntries;
-      // Hop whole blocks through the skip headers without decoding.
-      while (skip-- > 0) {
-        uint32_t first = 0;
-        uint64_t payload = 0;
-        const uint8_t* next = GetU32Delta32(p, packed_end_, first_prev, &first);
-        if (next != nullptr) next = GetVarint64(next, packed_end_, &payload);
-        if (next == nullptr ||
-            payload > static_cast<uint64_t>(packed_end_ - next)) {
-          return 0;
-        }
-        first_prev = first;
-        p = next + payload;
-      }
+    const uint8_t* p = packed_;
+    uint32_t first_prev = 0;
+    size_t skip = i / kBlockEntries;
+    // Hop whole blocks through the skip headers without decoding.
+    while (skip-- > 0) {
       uint32_t first = 0;
       uint64_t payload = 0;
       const uint8_t* next = GetU32Delta32(p, packed_end_, first_prev, &first);
       if (next != nullptr) next = GetVarint64(next, packed_end_, &payload);
-      if (next == nullptr) return 0;
-      uint32_t value = first;
-      for (size_t k = 0; k < i % kBlockEntries; ++k) {
-        next = GetU32Delta32(next, packed_end_, value, &value);
-        if (next == nullptr) return 0;
+      if (next == nullptr ||
+          payload > static_cast<uint64_t>(packed_end_ - next)) {
+        return 0;
       }
-      return value;
+      first_prev = first;
+      p = next + payload;
     }
-    auto it = begin();
-    for (size_t k = 0; k < i; ++k) ++it;
-    return *it;
+    uint32_t first = 0;
+    uint64_t payload = 0;
+    const uint8_t* next = GetU32Delta32(p, packed_end_, first_prev, &first);
+    if (next != nullptr) next = GetVarint64(next, packed_end_, &payload);
+    if (next == nullptr) return 0;
+    uint32_t value = first;
+    for (size_t k = 0; k < i % kBlockEntries; ++k) {
+      next = GetU32Delta32(next, packed_end_, value, &value);
+      if (next == nullptr) return 0;
+    }
+    return value;
   }
 
   std::vector<uint32_t> Materialize() const {
@@ -368,11 +325,10 @@ class PostingListView {
   const uint8_t* packed_ = nullptr;
   const uint8_t* packed_end_ = nullptr;
   size_t count_ = 0;
-  bool blocked_ = false;
 };
 
 /// Forward range over an (id, weight) list — TlEntry, CoverEntry, and any
-/// other {uint32, float} POD — raw or compressed (flat or blocked).
+/// other {uint32, float} POD — raw or compressed.
 template <typename Entry>
 class PairListView {
   static_assert(std::is_trivially_copyable_v<Entry> && sizeof(Entry) == 8,
@@ -396,12 +352,6 @@ class PairListView {
     view.packed_ = p;
     view.packed_end_ = end;
     view.count_ = static_cast<size_t>(count);
-    return view;
-  }
-
-  static PairListView PackedBlocked(const uint8_t* begin, const uint8_t* end) {
-    PairListView view = Packed(begin, end);
-    view.blocked_ = true;
     return view;
   }
 
@@ -453,18 +403,6 @@ class PairListView {
         std::memcpy(&current_, raw_++, sizeof(Entry));
         return;
       }
-      if (!blocked_) {
-        uint32_t id = 0, bits = 0;
-        const uint8_t* next = GetU32Delta(p_, end_, prev_id_, &id);
-        if (next != nullptr) next = GetU32Delta(next, end_, prev_bits_, &bits);
-        if (next == nullptr) {  // malformed stream: become end()
-          remaining_ = 0;
-          return;
-        }
-        p_ = next;
-        SetCurrent(id, bits);
-        return;
-      }
       if (in_block_left_ == 0) {
         uint32_t id = 0, bits = 0;
         uint64_t payload = 0;
@@ -475,7 +413,7 @@ class PairListView {
         if (next != nullptr) next = GetVarint64(next, end_, &payload);
         if (next == nullptr ||
             payload > static_cast<uint64_t>(end_ - next)) {
-          remaining_ = 0;
+          remaining_ = 0;  // malformed stream: become end()
           return;
         }
         p_ = next;
@@ -506,7 +444,6 @@ class PairListView {
     uint32_t prev_bits_ = 0;
     Entry current_{};
     size_t remaining_ = 0;
-    bool blocked_ = false;
     uint32_t in_block_left_ = 0;
     uint32_t first_prev_id_ = 0;
     uint32_t first_prev_bits_ = 0;
@@ -518,15 +455,14 @@ class PairListView {
     it.raw_ = raw_;
     it.p_ = packed_;
     it.end_ = packed_end_;
-    it.blocked_ = blocked_;
     if (count_ > 0) it.Decode();
     return it;
   }
   const_iterator end() const { return const_iterator(); }
 
-  /// Bulk traversal — see PostingListView::ForEach. Blocked payloads
-  /// (id delta, bits delta interleaved) bulk-decode into a stack scratch
-  /// and rebuild entries with the two prefix chains.
+  /// Bulk traversal — see PostingListView::ForEach. Block payloads (id
+  /// delta, bits delta interleaved) bulk-decode into a stack scratch and
+  /// rebuild entries with the two prefix chains.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     if (raw_ != nullptr) {
@@ -535,10 +471,6 @@ class PairListView {
         std::memcpy(&e, raw_ + i, sizeof(Entry));
         fn(e);
       }
-      return;
-    }
-    if (!blocked_) {
-      for (const Entry& e : *this) fn(e);
       return;
     }
     uint32_t scratch[2 * kBlockEntries];
@@ -585,30 +517,13 @@ class PairListView {
     }
   }
 
-  /// O(1) raw, O(blocks + in-block) blocked, O(i) flat.
+  /// O(1) raw, O(blocks + in-block) compressed.
   Entry operator[](size_t i) const {
     if (raw_ != nullptr) return raw_[i];
-    if (blocked_) {
-      const uint8_t* p = packed_;
-      uint32_t first_prev_id = 0, first_prev_bits = 0;
-      size_t skip = i / kBlockEntries;
-      while (skip-- > 0) {
-        uint32_t id = 0, bits = 0;
-        uint64_t payload = 0;
-        const uint8_t* next =
-            GetU32Delta32(p, packed_end_, first_prev_id, &id);
-        if (next != nullptr) {
-          next = GetU32Delta32(next, packed_end_, first_prev_bits, &bits);
-        }
-        if (next != nullptr) next = GetVarint64(next, packed_end_, &payload);
-        if (next == nullptr ||
-            payload > static_cast<uint64_t>(packed_end_ - next)) {
-          return Entry{};
-        }
-        first_prev_id = id;
-        first_prev_bits = bits;
-        p = next + payload;
-      }
+    const uint8_t* p = packed_;
+    uint32_t first_prev_id = 0, first_prev_bits = 0;
+    size_t skip = i / kBlockEntries;
+    while (skip-- > 0) {
       uint32_t id = 0, bits = 0;
       uint64_t payload = 0;
       const uint8_t* next = GetU32Delta32(p, packed_end_, first_prev_id, &id);
@@ -616,21 +531,32 @@ class PairListView {
         next = GetU32Delta32(next, packed_end_, first_prev_bits, &bits);
       }
       if (next != nullptr) next = GetVarint64(next, packed_end_, &payload);
-      if (next == nullptr) return Entry{};
-      for (size_t k = 0; k < i % kBlockEntries; ++k) {
-        next = GetU32Delta32(next, packed_end_, id, &id);
-        if (next != nullptr) next = GetU32Delta32(next, packed_end_, bits, &bits);
-        if (next == nullptr) return Entry{};
+      if (next == nullptr ||
+          payload > static_cast<uint64_t>(packed_end_ - next)) {
+        return Entry{};
       }
-      Entry e;
-      std::memcpy(&e, &id, sizeof(uint32_t));
-      std::memcpy(reinterpret_cast<uint8_t*>(&e) + sizeof(uint32_t), &bits,
-                  sizeof(uint32_t));
-      return e;
+      first_prev_id = id;
+      first_prev_bits = bits;
+      p = next + payload;
     }
-    auto it = begin();
-    for (size_t k = 0; k < i; ++k) ++it;
-    return *it;
+    uint32_t id = 0, bits = 0;
+    uint64_t payload = 0;
+    const uint8_t* next = GetU32Delta32(p, packed_end_, first_prev_id, &id);
+    if (next != nullptr) {
+      next = GetU32Delta32(next, packed_end_, first_prev_bits, &bits);
+    }
+    if (next != nullptr) next = GetVarint64(next, packed_end_, &payload);
+    if (next == nullptr) return Entry{};
+    for (size_t k = 0; k < i % kBlockEntries; ++k) {
+      next = GetU32Delta32(next, packed_end_, id, &id);
+      if (next != nullptr) next = GetU32Delta32(next, packed_end_, bits, &bits);
+      if (next == nullptr) return Entry{};
+    }
+    Entry e;
+    std::memcpy(&e, &id, sizeof(uint32_t));
+    std::memcpy(reinterpret_cast<uint8_t*>(&e) + sizeof(uint32_t), &bits,
+                sizeof(uint32_t));
+    return e;
   }
 
   std::vector<Entry> Materialize() const {
@@ -645,7 +571,6 @@ class PairListView {
   const uint8_t* packed_ = nullptr;
   const uint8_t* packed_end_ = nullptr;
   size_t count_ = 0;
-  bool blocked_ = false;
 };
 
 /// What a list family contains — drives the validation walk.
@@ -661,15 +586,14 @@ class PostingArena {
 
   size_t num_lists() const { return num_lists_; }
   uint64_t total_entries() const { return total_entries_; }
-  ListLayout layout() const { return layout_; }
 
   /// Actually-resident compressed bytes (data + offset table).
   uint64_t bytes() const {
     return static_cast<uint64_t>(data_.size()) + offsets_.size();
   }
 
-  /// Offset-table footprint alone — the rank/select win shows up here
-  /// (plain: 8 bytes/list; Elias-Fano: ~2 + log2(avg list bytes) bits).
+  /// Offset-table footprint alone — the Elias-Fano win shows up here
+  /// (~2 + log2(avg list bytes) bits per list instead of a u64 each).
   uint64_t offsets_bytes() const { return offsets_.size(); }
 
   const ByteBlock& data_block() const { return data_; }
@@ -677,57 +601,31 @@ class PostingArena {
 
   PostingListView U32List(size_t i) const {
     const auto [begin, end] = ListBytes(i);
-    return layout_ == ListLayout::kBlocked
-               ? PostingListView::PackedBlocked(begin, end)
-               : PostingListView::Packed(begin, end);
+    return PostingListView::Packed(begin, end);
   }
 
   template <typename Entry>
   PairListView<Entry> PairList(size_t i) const {
     const auto [begin, end] = ListBytes(i);
-    return layout_ == ListLayout::kBlocked
-               ? PairListView<Entry>::PackedBlocked(begin, end)
-               : PairListView<Entry>::Packed(begin, end);
+    return PairListView<Entry>::Packed(begin, end);
   }
 
-  /// Wraps loaded blocks, validating the offset table (monotonic, in
-  /// bounds) and walking every list to check each varint stream
-  /// terminates in bounds with the advertised entry count (including, for
-  /// kBlocked, the skip-header grammar: headers in bounds, payload
-  /// lengths truthful, 32-bit-bounded deltas). Rejecting malformed input
-  /// here means views never see broken streams. For kFlat, `offsets` is
-  /// the plain uint64 table; for kBlocked it is an Elias-Fano table.
-  static bool FromBlocks(ByteBlock data, ByteBlock offsets, size_t num_lists,
-                         ListKind kind, ListLayout layout, PostingArena* out,
-                         std::string* error);
-
-  /// Back-compat wrapper: flat layout.
+  /// Wraps loaded blocks, validating the Elias-Fano offset table
+  /// (monotonic, in bounds) and walking every list to check its stream
+  /// against the advertised entry count and the skip-header grammar:
+  /// headers in bounds, payload lengths truthful, 32-bit-bounded deltas.
+  /// Rejecting malformed input here means views never see broken streams.
   static bool FromBlocks(ByteBlock data, ByteBlock offsets, size_t num_lists,
                          ListKind kind, PostingArena* out,
-                         std::string* error) {
-    return FromBlocks(std::move(data), std::move(offsets), num_lists, kind,
-                      ListLayout::kFlat, out, error);
-  }
+                         std::string* error);
 
  private:
   friend class PostingArenaBuilder;
 
-  uint64_t offset(size_t i) const {
-    if (layout_ == ListLayout::kBlocked) return ef_offsets_.Get(i);
-    uint64_t v = 0;
-    std::memcpy(&v, offsets_.data() + i * sizeof(uint64_t), sizeof(uint64_t));
-    return v;
-  }
-
   std::pair<const uint8_t*, const uint8_t*> ListBytes(size_t i) const {
     const uint8_t* base = data_.data();
     uint64_t lo = 0, hi = 0;
-    if (layout_ == ListLayout::kBlocked) {
-      ef_offsets_.GetPair(i, &lo, &hi);
-    } else {
-      lo = offset(i);
-      hi = offset(i + 1);
-    }
+    ef_offsets_.GetPair(i, &lo, &hi);
     if (pool_ != nullptr) TouchPool(base + lo, static_cast<size_t>(hi - lo));
     return {base + lo, base + hi};
   }
@@ -736,45 +634,32 @@ class PostingArena {
 
   ByteBlock data_;
   ByteBlock offsets_;
-  EliasFanoView ef_offsets_;  // parsed view over offsets_ (kBlocked only)
+  EliasFanoView ef_offsets_;  // parsed view over offsets_
   size_t num_lists_ = 0;
   uint64_t total_entries_ = 0;
-  ListLayout layout_ = ListLayout::kFlat;
   BufferPool* pool_ = nullptr;  // owned by the MappedFile backing data_
 };
 
 /// Accumulates lists into a fresh arena. Encoding is deterministic: the
-/// same lists in the same order produce byte-identical arenas. Defaults
-/// to the blocked layout; the flat layout remains for writing v2 files.
+/// same lists in the same order produce byte-identical arenas.
 class PostingArenaBuilder {
  public:
-  explicit PostingArenaBuilder(ListLayout layout = ListLayout::kBlocked)
-      : layout_(layout) {}
-
   void AddU32List(const uint32_t* data, size_t count) {
     PutVarint64(bytes_, count);
-    if (layout_ == ListLayout::kFlat) {
-      uint32_t prev = 0;
-      for (size_t i = 0; i < count; ++i) {
-        PutU32Delta(bytes_, data[i], prev);
-        prev = data[i];
+    uint32_t first_prev = 0;
+    for (size_t at = 0; at < count; at += kBlockEntries) {
+      const size_t in_block =
+          count - at < kBlockEntries ? count - at : kBlockEntries;
+      payload_.clear();
+      uint32_t prev = data[at];
+      for (size_t j = 1; j < in_block; ++j) {
+        PutU32Delta32(payload_, data[at + j], prev);
+        prev = data[at + j];
       }
-    } else {
-      uint32_t first_prev = 0;
-      for (size_t at = 0; at < count; at += kBlockEntries) {
-        const size_t in_block =
-            count - at < kBlockEntries ? count - at : kBlockEntries;
-        payload_.clear();
-        uint32_t prev = data[at];
-        for (size_t j = 1; j < in_block; ++j) {
-          PutU32Delta32(payload_, data[at + j], prev);
-          prev = data[at + j];
-        }
-        PutU32Delta32(bytes_, data[at], first_prev);
-        PutVarint64(bytes_, payload_.size());
-        bytes_.insert(bytes_.end(), payload_.begin(), payload_.end());
-        first_prev = data[at];
-      }
+      PutU32Delta32(bytes_, data[at], first_prev);
+      PutVarint64(bytes_, payload_.size());
+      bytes_.insert(bytes_.end(), payload_.begin(), payload_.end());
+      first_prev = data[at];
     }
     CloseList(count);
   }
@@ -786,37 +671,26 @@ class PostingArenaBuilder {
   void AddPairList(const Entry* data, size_t count) {
     static_assert(std::is_trivially_copyable_v<Entry> && sizeof(Entry) == 8);
     PutVarint64(bytes_, count);
-    if (layout_ == ListLayout::kFlat) {
-      uint32_t prev_id = 0, prev_bits = 0;
-      for (size_t i = 0; i < count; ++i) {
-        const auto [id, bits] = SplitEntry(data[i]);
-        PutU32Delta(bytes_, id, prev_id);
-        PutU32Delta(bytes_, bits, prev_bits);
+    uint32_t first_prev_id = 0, first_prev_bits = 0;
+    for (size_t at = 0; at < count; at += kBlockEntries) {
+      const size_t in_block =
+          count - at < kBlockEntries ? count - at : kBlockEntries;
+      const auto [first_id, first_bits] = SplitEntry(data[at]);
+      payload_.clear();
+      uint32_t prev_id = first_id, prev_bits = first_bits;
+      for (size_t j = 1; j < in_block; ++j) {
+        const auto [id, bits] = SplitEntry(data[at + j]);
+        PutU32Delta32(payload_, id, prev_id);
+        PutU32Delta32(payload_, bits, prev_bits);
         prev_id = id;
         prev_bits = bits;
       }
-    } else {
-      uint32_t first_prev_id = 0, first_prev_bits = 0;
-      for (size_t at = 0; at < count; at += kBlockEntries) {
-        const size_t in_block =
-            count - at < kBlockEntries ? count - at : kBlockEntries;
-        const auto [first_id, first_bits] = SplitEntry(data[at]);
-        payload_.clear();
-        uint32_t prev_id = first_id, prev_bits = first_bits;
-        for (size_t j = 1; j < in_block; ++j) {
-          const auto [id, bits] = SplitEntry(data[at + j]);
-          PutU32Delta32(payload_, id, prev_id);
-          PutU32Delta32(payload_, bits, prev_bits);
-          prev_id = id;
-          prev_bits = bits;
-        }
-        PutU32Delta32(bytes_, first_id, first_prev_id);
-        PutU32Delta32(bytes_, first_bits, first_prev_bits);
-        PutVarint64(bytes_, payload_.size());
-        bytes_.insert(bytes_.end(), payload_.begin(), payload_.end());
-        first_prev_id = first_id;
-        first_prev_bits = first_bits;
-      }
+      PutU32Delta32(bytes_, first_id, first_prev_id);
+      PutU32Delta32(bytes_, first_bits, first_prev_bits);
+      PutVarint64(bytes_, payload_.size());
+      bytes_.insert(bytes_.end(), payload_.begin(), payload_.end());
+      first_prev_id = first_id;
+      first_prev_bits = first_bits;
     }
     CloseList(count);
   }
@@ -827,31 +701,18 @@ class PostingArenaBuilder {
 
   PostingArena Finish() {
     PostingArena arena;
-    arena.layout_ = layout_;
     arena.num_lists_ = ends_.size();
     arena.total_entries_ = total_entries_;
-    if (layout_ == ListLayout::kFlat) {
-      std::vector<uint8_t> offset_bytes((ends_.size() + 1) * sizeof(uint64_t));
-      uint64_t running = 0;
-      std::memcpy(offset_bytes.data(), &running, sizeof(uint64_t));
-      for (size_t i = 0; i < ends_.size(); ++i) {
-        running = ends_[i];
-        std::memcpy(offset_bytes.data() + (i + 1) * sizeof(uint64_t), &running,
-                    sizeof(uint64_t));
-      }
-      arena.offsets_ = ByteBlock::FromVector(std::move(offset_bytes));
-    } else {
-      std::vector<uint64_t> offsets(ends_.size() + 1, 0);
-      for (size_t i = 0; i < ends_.size(); ++i) offsets[i + 1] = ends_[i];
-      std::vector<uint8_t> ef_bytes;
-      EliasFanoView::Encode(offsets, &ef_bytes);
-      arena.offsets_ = ByteBlock::FromVector(std::move(ef_bytes));
-      std::string error;
-      // Cannot fail on bytes Encode just produced; parse builds the
-      // select samples the view needs.
-      EliasFanoView::Parse(arena.offsets_.data(), arena.offsets_.size(),
-                           &arena.ef_offsets_, &error);
-    }
+    std::vector<uint64_t> offsets(ends_.size() + 1, 0);
+    for (size_t i = 0; i < ends_.size(); ++i) offsets[i + 1] = ends_[i];
+    std::vector<uint8_t> ef_bytes;
+    EliasFanoView::Encode(offsets, &ef_bytes);
+    arena.offsets_ = ByteBlock::FromVector(std::move(ef_bytes));
+    std::string error;
+    // Cannot fail on bytes Encode just produced; parse builds the select
+    // samples the view needs.
+    EliasFanoView::Parse(arena.offsets_.data(), arena.offsets_.size(),
+                         &arena.ef_offsets_, &error);
     arena.data_ = ByteBlock::FromVector(std::move(bytes_));
     return arena;
   }
@@ -871,7 +732,6 @@ class PostingArenaBuilder {
     total_entries_ += count;
   }
 
-  ListLayout layout_;
   std::vector<uint8_t> bytes_;
   std::vector<uint8_t> payload_;  // per-block scratch, reused
   std::vector<uint64_t> ends_;    // byte offset past each list

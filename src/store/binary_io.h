@@ -1,4 +1,4 @@
-// Little-endian binary encode/decode helpers for the v2 index file.
+// Little-endian binary encode/decode helpers for the index file.
 //
 // ByteWriter accumulates a byte buffer with 8-byte alignment control and
 // offset patching (the header and section table are written after their
@@ -20,7 +20,7 @@
 
 namespace netclus::store {
 
-/// FNV-1a 64-bit — the section checksum of the v2 index format. Not
+/// FNV-1a 64-bit — the section checksum of the index format. Not
 /// cryptographic; guards against truncation, bit rot, and bad transfers.
 inline uint64_t Fnv1a64(const uint8_t* data, size_t size) {
   uint64_t h = 1469598103934665603ULL;

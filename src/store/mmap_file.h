@@ -1,6 +1,6 @@
 // Read-only memory-mapped files for zero-copy index loading.
 //
-// The v2 index format stores posting arenas as verbatim byte ranges, so a
+// The index format stores posting arenas as verbatim byte ranges, so a
 // loaded index can point straight into the mapping instead of copying:
 // MappedFile::Open maps the file once, block() hands out a refcounted
 // ByteBlock aliasing it, and the mapping is unmapped when the last block

@@ -1,11 +1,10 @@
 // Elias-Fano encoding of monotone sequences with select acceleration.
 //
-// The v2 posting arenas spend 8 bytes per list on a plain uint64 offset
-// table. The offsets are non-decreasing and bounded by the data size, the
-// textbook case for Elias-Fano: value i splits into `l` low bits (packed
-// verbatim) and a high part (unary-coded as bit `high + i` in a bit
-// vector), costing ~2 + log2(universe / n) bits per value — typically
-// 10-20x smaller than the plain table. Random access is select_1(i) on
+// A posting arena's list offsets (store/arena.h) are non-decreasing and
+// bounded by the data size, the textbook case for Elias-Fano: value i
+// splits into `l` low bits (packed verbatim) and a high part (unary-coded
+// as bit `high + i` in a bit vector), costing ~2 + log2(universe / n)
+// bits per value — typically 10-20x smaller than a plain uint64 table. Random access is select_1(i) on
 // the high bits, accelerated by sampling the position of every 64th set
 // bit at parse time.
 //

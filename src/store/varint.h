@@ -44,45 +44,12 @@ inline const uint8_t* GetVarint64(const uint8_t* p, const uint8_t* end,
   return nullptr;  // truncated, or a 10+ byte varint
 }
 
-/// Zigzag: maps signed deltas to unsigned so small magnitudes of either
-/// sign encode in few varint bytes.
-inline uint64_t ZigZag64(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-inline int64_t UnZigZag64(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-/// Delta helpers over uint32 streams: the encoder tracks the previous
-/// value, the decoder reverses it. Deltas are computed in 64-bit so the
-/// full uint32 range round-trips.
-inline void PutU32Delta(std::vector<uint8_t>& out, uint32_t value,
-                        uint32_t prev) {
-  PutVarint64(out, ZigZag64(static_cast<int64_t>(value) -
-                            static_cast<int64_t>(prev)));
-}
-
-inline const uint8_t* GetU32Delta(const uint8_t* p, const uint8_t* end,
-                                  uint32_t prev, uint32_t* value) {
-  uint64_t raw = 0;
-  p = GetVarint64(p, end, &raw);
-  if (p == nullptr) return nullptr;
-  // Unsigned addition: wraparound is the intended mod-2^32 inverse of the
-  // encoder's delta, and — unlike int64 arithmetic — stays defined when a
-  // hostile stream carries a delta near INT64_MAX.
-  *value = static_cast<uint32_t>(static_cast<uint64_t>(prev) +
-                                 static_cast<uint64_t>(UnZigZag64(raw)));
-  return p;
-}
-
-/// 32-bit wrapped zigzag — the delta transform of the blocked (v3) list
-/// codec. Deltas are taken mod 2^32 and zigzagged as int32, so every
-/// encoded value fits in 32 bits (at most 5 varint bytes, final byte
-/// <= 0x0f). That bound is what lets the SIMD bulk kernel
-/// (store/simd/bulk_varint.h) decode raw varints straight into uint32
-/// lanes; the flat (v2) codec above keeps its 64-bit transform for
-/// format compatibility.
+/// Zigzag maps signed deltas to unsigned so small magnitudes of either
+/// sign encode in few varint bytes. Deltas are taken mod 2^32 and
+/// zigzagged as int32, so every encoded value fits in 32 bits (at most 5
+/// varint bytes, final byte <= 0x0f). That bound is what lets the SIMD
+/// bulk kernel (store/simd/bulk_varint.h) decode raw varints straight
+/// into uint32 lanes.
 inline uint32_t ZigZag32(int32_t v) {
   return (static_cast<uint32_t>(v) << 1) ^
          static_cast<uint32_t>(static_cast<int32_t>(v) >> 31);
@@ -92,6 +59,9 @@ inline uint32_t UnZigZag32(uint32_t v) {
   return (v >> 1) ^ (0u - (v & 1u));
 }
 
+/// Delta helpers over uint32 streams: the encoder tracks the previous
+/// value, the decoder reverses it (mod 2^32, so the full range
+/// round-trips).
 inline void PutU32Delta32(std::vector<uint8_t>& out, uint32_t value,
                           uint32_t prev) {
   PutVarint64(out, ZigZag32(static_cast<int32_t>(value - prev)));

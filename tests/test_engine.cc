@@ -247,11 +247,11 @@ Engine MakeEngineWith(Engine::Options options, uint32_t dim = 12,
   return engine;
 }
 
-// The Table 9 / Table 11 acceptance property of the v2 format: an index
+// The Table 9 / Table 11 acceptance property of the index file: an index
 // saved to the binary file and loaded back — by heap copy or zero-copy
 // mmap, at 1 or 4 worker threads, under every distance backend — answers
 // TopK and TopKBatch bit-identically to the in-memory index it came from.
-TEST(Engine, SaveLoadV2BitIdenticalAcrossBackendsThreadsAndModes) {
+TEST(Engine, SaveLoadBitIdenticalAcrossBackendsThreadsAndModes) {
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   std::vector<Engine::QuerySpec> specs;
   for (uint32_t i = 0; i < 6; ++i) {
@@ -261,7 +261,7 @@ TEST(Engine, SaveLoadV2BitIdenticalAcrossBackendsThreadsAndModes) {
     spec.use_fm = i % 2 == 1;
     specs.push_back(spec);
   }
-  const std::string path = "/tmp/netclus_engine_v2_diff.idx";
+  const std::string path = "/tmp/netclus_engine_save_load_diff.idx";
   for (const auto backend : {graph::spf::BackendKind::kDijkstra,
                              graph::spf::BackendKind::kBidirectional,
                              graph::spf::BackendKind::kContractionHierarchies}) {

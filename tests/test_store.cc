@@ -60,10 +60,18 @@ TEST(Varint, RejectsTruncatedInput) {
 }
 
 TEST(Varint, ZigZagRoundTripsSigns) {
-  const int64_t values[] = {0, 1, -1, 63, -64, 1ll << 40, -(1ll << 40),
-                            std::numeric_limits<int64_t>::max(),
-                            std::numeric_limits<int64_t>::min()};
-  for (const int64_t v : values) EXPECT_EQ(UnZigZag64(ZigZag64(v)), v) << v;
+  // Small magnitudes of either sign map to small codes; the extremes map
+  // to the top of the 32-bit range and still round-trip.
+  const std::pair<int32_t, uint32_t> cases[] = {
+      {0, 0u},
+      {-1, 1u},
+      {1, 2u},
+      {std::numeric_limits<int32_t>::max(), 0xfffffffeu},
+      {std::numeric_limits<int32_t>::min(), 0xffffffffu}};
+  for (const auto& [v, code] : cases) {
+    EXPECT_EQ(ZigZag32(v), code) << v;
+    EXPECT_EQ(UnZigZag32(ZigZag32(v)), static_cast<uint32_t>(v)) << v;
+  }
 }
 
 TEST(PostingArena, U32ListsRoundTripFuzz) {
@@ -129,55 +137,6 @@ TEST(PostingArena, PairListsRoundTripFuzz) {
         ++k;
       }
     }
-  }
-}
-
-TEST(PostingArena, FromBlocksValidatesMalformedInput) {
-  PostingArenaBuilder builder(ListLayout::kFlat);
-  builder.AddU32List({1, 5, 3});
-  builder.AddU32List({});
-  PostingArena arena = builder.Finish();
-
-  // A valid round-trip through FromBlocks.
-  PostingArena reloaded;
-  std::string error;
-  ASSERT_TRUE(PostingArena::FromBlocks(arena.data_block(),
-                                       arena.offsets_block(), 2,
-                                       ListKind::kU32, &reloaded, &error))
-      << error;
-  EXPECT_EQ(reloaded.U32List(0).Materialize(),
-            (std::vector<uint32_t>{1, 5, 3}));
-
-  // Wrong list count -> offset table size mismatch.
-  EXPECT_FALSE(PostingArena::FromBlocks(arena.data_block(),
-                                        arena.offsets_block(), 3,
-                                        ListKind::kU32, &reloaded, &error));
-  // Truncated data block -> offsets no longer cover it.
-  std::vector<uint8_t> short_data(arena.data_block().data(),
-                                  arena.data_block().data() +
-                                      arena.data_block().size() - 1);
-  EXPECT_FALSE(PostingArena::FromBlocks(ByteBlock::FromVector(short_data),
-                                        arena.offsets_block(), 2,
-                                        ListKind::kU32, &reloaded, &error));
-  // Pair walk over a u32 stream -> entry count cannot match.
-  EXPECT_FALSE(PostingArena::FromBlocks(arena.data_block(),
-                                        arena.offsets_block(), 2,
-                                        ListKind::kPair, &reloaded, &error));
-
-  // A crafted count near 2^64 must be rejected up front, not overflow the
-  // validation walk's loop bound into accepting a list that claims 2^63
-  // entries (which would later drive iterators off the end).
-  std::vector<uint8_t> huge_count;
-  PutVarint64(huge_count, 1ull << 63);
-  std::vector<uint8_t> huge_offsets(16, 0);
-  const uint64_t huge_end = huge_count.size();
-  std::memcpy(huge_offsets.data() + 8, &huge_end, sizeof(huge_end));
-  for (const ListKind kind : {ListKind::kU32, ListKind::kPair}) {
-    EXPECT_FALSE(PostingArena::FromBlocks(
-        ByteBlock::FromVector(huge_count), ByteBlock::FromVector(huge_offsets),
-        1, kind, &reloaded, &error))
-        << static_cast<int>(kind);
-    EXPECT_NE(error.find("implausible"), std::string::npos) << error;
   }
 }
 
@@ -291,9 +250,9 @@ TEST(BulkVarint, AllKernelsRejectTruncatedAndOverlongInput) {
   }
 }
 
-// The blocked layout must be observationally identical to flat across
-// every access path (iterator, ForEach, operator[]) and every kernel.
-TEST(PostingArena, BlockedMatchesFlatFuzz) {
+// Every access path (iterator, ForEach, operator[]) must yield the source
+// lists exactly, under every kernel, across multi-block lists.
+TEST(PostingArena, BlockedListsMatchSourceFuzz) {
   std::vector<simd::Kernel> kernels{simd::Kernel::kScalar};
   for (simd::Kernel k : {simd::Kernel::kSse4, simd::Kernel::kAvx2}) {
     if (simd::Supports(k)) kernels.push_back(k);
@@ -305,23 +264,19 @@ TEST(PostingArena, BlockedMatchesFlatFuzz) {
     std::vector<std::vector<uint32_t>> lists(rng.UniformInt(1, 10));
     for (auto& list : lists) list = RandomU32List(rng, 700);
 
-    PostingArenaBuilder flat_builder(ListLayout::kFlat);
-    PostingArenaBuilder blocked_builder(ListLayout::kBlocked);
+    PostingArenaBuilder builder;
+    uint64_t entries = 0;
     for (const auto& list : lists) {
-      flat_builder.AddU32List(list);
-      blocked_builder.AddU32List(list);
+      builder.AddU32List(list);
+      entries += list.size();
     }
-    const PostingArena flat = flat_builder.Finish();
-    const PostingArena blocked = blocked_builder.Finish();
-    ASSERT_EQ(flat.layout(), ListLayout::kFlat);
-    ASSERT_EQ(blocked.layout(), ListLayout::kBlocked);
-    EXPECT_EQ(flat.total_entries(), blocked.total_entries());
+    const PostingArena blocked = builder.Finish();
+    EXPECT_EQ(blocked.total_entries(), entries);
 
     for (const simd::Kernel k : kernels) {
       ASSERT_TRUE(simd::ForceKernel(k));
       SCOPED_TRACE(simd::KernelName(k));
       for (size_t i = 0; i < lists.size(); ++i) {
-        const PostingListView fv = flat.U32List(i);
         const PostingListView bv = blocked.U32List(i);
         ASSERT_EQ(bv.size(), lists[i].size());
         EXPECT_EQ(bv.Materialize(), lists[i]) << "list " << i;
@@ -333,7 +288,6 @@ TEST(PostingArena, BlockedMatchesFlatFuzz) {
           for (int probe = 0; probe < 4; ++probe) {
             const size_t j = rng.UniformInt(lists[i].size());
             EXPECT_EQ(bv[j], lists[i][j]) << "list " << i << " [" << j << "]";
-            EXPECT_EQ(fv[j], lists[i][j]);
           }
         }
       }
@@ -342,7 +296,7 @@ TEST(PostingArena, BlockedMatchesFlatFuzz) {
   simd::ResetKernelFromEnv();
 }
 
-TEST(PostingArena, BlockedPairListsMatchFlatFuzz) {
+TEST(PostingArena, BlockedPairListsMatchSourceFuzz) {
   using Entry = netclus::tops::CoverEntry;
   std::vector<simd::Kernel> kernels{simd::Kernel::kScalar};
   for (simd::Kernel k : {simd::Kernel::kSse4, simd::Kernel::kAvx2}) {
@@ -363,21 +317,14 @@ TEST(PostingArena, BlockedPairListsMatchFlatFuzz) {
         list.push_back(e);
       }
     }
-    PostingArenaBuilder flat_builder(ListLayout::kFlat);
-    PostingArenaBuilder blocked_builder(ListLayout::kBlocked);
-    for (const auto& list : lists) {
-      flat_builder.AddPairList(list);
-      blocked_builder.AddPairList(list);
-    }
-    const PostingArena flat = flat_builder.Finish();
-    const PostingArena blocked = blocked_builder.Finish();
+    PostingArenaBuilder builder;
+    for (const auto& list : lists) builder.AddPairList(list);
+    const PostingArena blocked = builder.Finish();
     for (const simd::Kernel k : kernels) {
       ASSERT_TRUE(simd::ForceKernel(k));
       SCOPED_TRACE(simd::KernelName(k));
       for (size_t i = 0; i < lists.size(); ++i) {
-        const auto fv = flat.PairList<Entry>(i);
         const auto bv = blocked.PairList<Entry>(i);
-        ASSERT_EQ(fv.size(), lists[i].size());
         ASSERT_EQ(bv.size(), lists[i].size());
         size_t n = 0;
         bv.ForEach([&](const Entry& e) {
@@ -393,6 +340,15 @@ TEST(PostingArena, BlockedPairListsMatchFlatFuzz) {
           ++m;
         }
         EXPECT_EQ(m, lists[i].size());
+        if (!lists[i].empty()) {
+          for (int probe = 0; probe < 4; ++probe) {
+            const size_t j = rng.UniformInt(lists[i].size());
+            const Entry e = bv[j];
+            EXPECT_EQ(e.id, lists[i][j].id) << "list " << i << " [" << j << "]";
+            EXPECT_EQ(std::memcmp(&e.dr_m, &lists[i][j].dr_m, sizeof(float)),
+                      0);
+          }
+        }
       }
     }
   }
@@ -413,7 +369,7 @@ TEST(PostingArena, BlockedRejectsMalformedInput) {
   for (size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<uint32_t>(i * 2654435761u);
   }
-  PostingArenaBuilder builder(ListLayout::kBlocked);
+  PostingArenaBuilder builder;
   builder.AddU32List(big);
   const PostingArena arena = builder.Finish();
   const ByteBlock& data = arena.data_block();
@@ -421,24 +377,40 @@ TEST(PostingArena, BlockedRejectsMalformedInput) {
     std::vector<uint8_t> prefix(data.data(), data.data() + cut);
     EXPECT_FALSE(PostingArena::FromBlocks(
         ByteBlock::FromVector(std::move(prefix)), EfOffsets({0, cut}), 1,
-        ListKind::kU32, ListLayout::kBlocked, &reloaded, &error))
+        ListKind::kU32, &reloaded, &error))
         << "cut " << cut;
   }
 
   // And the untruncated image round-trips.
   ASSERT_TRUE(PostingArena::FromBlocks(arena.data_block(),
                                        arena.offsets_block(), 1,
-                                       ListKind::kU32, ListLayout::kBlocked,
-                                       &reloaded, &error))
+                                       ListKind::kU32, &reloaded, &error))
       << error;
   EXPECT_EQ(reloaded.U32List(0).Materialize(), big);
+
+  // A list count that disagrees with the offset table.
+  EXPECT_FALSE(PostingArena::FromBlocks(arena.data_block(),
+                                        arena.offsets_block(), 2,
+                                        ListKind::kU32, &reloaded, &error));
+  EXPECT_NE(error.find("values, want"), std::string::npos) << error;
+  // A data block one byte short: the offsets no longer fit inside it.
+  std::vector<uint8_t> short_data(data.data(), data.data() + data.size() - 1);
+  EXPECT_FALSE(PostingArena::FromBlocks(ByteBlock::FromVector(short_data),
+                                        arena.offsets_block(), 1,
+                                        ListKind::kU32, &reloaded, &error));
+  EXPECT_NE(error.find("out of order/bounds"), std::string::npos) << error;
+  // A u32 stream walked as pairs: the two-varint skip headers misread the
+  // block framing.
+  EXPECT_FALSE(PostingArena::FromBlocks(arena.data_block(),
+                                        arena.offsets_block(), 1,
+                                        ListKind::kPair, &reloaded, &error));
 
   // Trailing bytes after the final block.
   std::vector<uint8_t> padded(data.data(), data.data() + data.size());
   padded.push_back(0x00);
   EXPECT_FALSE(PostingArena::FromBlocks(
       ByteBlock::FromVector(padded), EfOffsets({0, padded.size()}), 1,
-      ListKind::kU32, ListLayout::kBlocked, &reloaded, &error));
+      ListKind::kU32, &reloaded, &error));
   EXPECT_NE(error.find("trailing"), std::string::npos) << error;
 
   // A skip header whose payload length lies past the list end.
@@ -449,7 +421,7 @@ TEST(PostingArena, BlockedRejectsMalformedInput) {
   lying.push_back(0x02);
   EXPECT_FALSE(PostingArena::FromBlocks(
       ByteBlock::FromVector(lying), EfOffsets({0, lying.size()}), 1,
-      ListKind::kU32, ListLayout::kBlocked, &reloaded, &error));
+      ListKind::kU32, &reloaded, &error));
   EXPECT_NE(error.find("lying payload"), std::string::npos) << error;
 
   // A payload varint exceeding 32 bits (final byte > 0x0f).
@@ -461,8 +433,21 @@ TEST(PostingArena, BlockedRejectsMalformedInput) {
   wide.insert(wide.end(), over, over + sizeof(over));
   EXPECT_FALSE(PostingArena::FromBlocks(
       ByteBlock::FromVector(wide), EfOffsets({0, wide.size()}), 1,
-      ListKind::kU32, ListLayout::kBlocked, &reloaded, &error));
+      ListKind::kU32, &reloaded, &error));
   EXPECT_NE(error.find("malformed block payload"), std::string::npos) << error;
+
+  // A crafted count near 2^63 must be rejected up front, not overflow the
+  // block walk into accepting a list that claims 2^63 entries (which
+  // would later drive iterators off the end).
+  std::vector<uint8_t> huge_count;
+  PutVarint64(huge_count, 1ull << 63);
+  for (const ListKind kind : {ListKind::kU32, ListKind::kPair}) {
+    EXPECT_FALSE(PostingArena::FromBlocks(
+        ByteBlock::FromVector(huge_count), EfOffsets({0, huge_count.size()}),
+        1, kind, &reloaded, &error))
+        << static_cast<int>(kind);
+    EXPECT_NE(error.find("implausible"), std::string::npos) << error;
+  }
 }
 
 // --- Elias-Fano offsets ----------------------------------------------------
@@ -624,7 +609,7 @@ TEST(BufferPool, BoundsResidencyAndSurvivesEviction) {
 // An arena whose bytes live inside a pooled mapping reports list accesses
 // to the pool (residency accounting) and decodes identically.
 TEST(BufferPool, PooledArenaDecodesIdentically) {
-  PostingArenaBuilder builder(ListLayout::kBlocked);
+  PostingArenaBuilder builder;
   std::vector<std::vector<uint32_t>> lists;
   util::Rng rng(0x9001);
   for (int i = 0; i < 20; ++i) {
@@ -654,7 +639,7 @@ TEST(BufferPool, PooledArenaDecodesIdentically) {
   ASSERT_TRUE(PostingArena::FromBlocks(
       image.Slice(0, data_size),
       image.Slice(data_size, image.size() - data_size), lists.size(),
-      ListKind::kU32, ListLayout::kBlocked, &pooled, &error))
+      ListKind::kU32, &pooled, &error))
       << error;
   // The offset table is pinned at attach so extent lookups never re-fault.
   EXPECT_GE(file->pool()->GetStats().pinned_frames, 1u);

@@ -16,6 +16,8 @@
 #include <string>
 
 #include "data/datasets.h"
+#include "exec/executor.h"
+#include "exec/planner.h"
 #include "graph/spf/distance_backend.h"
 #include "netclus/multi_index.h"
 #include "netclus/query.h"
@@ -61,6 +63,19 @@ inline index::MultiIndex BuildIndex(const data::Dataset& dataset,
   return index::MultiIndex::Build(*dataset.store, dataset.sites, config);
 }
 
+/// Plans and executes one request over a bare index — the exec::Planner +
+/// exec::Executor pair behind every query entry point — with a fresh
+/// execution context.
+inline index::QueryResult RunRequest(const data::Dataset& dataset,
+                                     const index::MultiIndex& index,
+                                     const exec::PlanRequest& request) {
+  exec::ExecContext ctx;
+  const exec::QueryPlan plan =
+      exec::Planner(&ctx).Plan(request, index, /*batch_size=*/1);
+  return exec::Executor(&index, dataset.store.get(), &dataset.sites, &ctx)
+      .Execute(plan);
+}
+
 /// Answers `count` TOPS queries (varying τ and k) concurrently over a built
 /// index with `threads` workers — the Engine::TopKBatch serving shape — and
 /// returns the wall time in seconds.
@@ -68,16 +83,20 @@ inline double RunQueryBatch(const data::Dataset& dataset,
                             const index::MultiIndex& index, size_t count,
                             const tops::PreferenceFunction& psi,
                             uint32_t threads) {
-  const index::QueryEngine engine(&index, dataset.store.get(), &dataset.sites);
+  exec::ExecContext ctx;
+  const exec::Planner planner(&ctx);
+  const exec::Executor executor(&index, dataset.store.get(), &dataset.sites,
+                                &ctx);
   util::WallTimer timer;
   util::ParallelMap<index::QueryResult>(
       threads, count,
       [&](size_t i) {
-        index::QueryConfig config;
-        config.k = 3 + static_cast<uint32_t>(i % 5);
-        config.tau_m = 500.0 + 250.0 * static_cast<double>(i % 8);
-        config.threads = 1;  // queries are the unit of concurrency here
-        return engine.Tops(psi, config);
+        exec::PlanRequest request;
+        request.k = 3 + static_cast<uint32_t>(i % 5);
+        request.tau_m = 500.0 + 250.0 * static_cast<double>(i % 8);
+        request.psi = psi;
+        request.threads = 1;  // queries are the unit of concurrency here
+        return executor.Execute(planner.Plan(request, index, /*batch_size=*/1));
       },
       /*grain=*/1);
   return timer.Seconds();
@@ -152,13 +171,13 @@ inline NetClusRun RunNetClus(const data::Dataset& dataset,
                              const index::MultiIndex& index, uint32_t k,
                              double tau_m, const tops::PreferenceFunction& psi,
                              bool use_fm, uint32_t fm_copies = 30) {
-  const index::QueryEngine engine(&index, dataset.store.get(), &dataset.sites);
-  index::QueryConfig config;
-  config.k = k;
-  config.tau_m = tau_m;
-  config.use_fm_sketch = use_fm;
-  config.fm_copies = fm_copies;
-  const index::QueryResult result = engine.Tops(psi, config);
+  exec::PlanRequest request;
+  request.k = k;
+  request.tau_m = tau_m;
+  request.psi = psi;
+  request.use_fm = use_fm;
+  request.fm_copies = fm_copies;
+  const index::QueryResult result = RunRequest(dataset, index, request);
   NetClusRun run;
   run.total_seconds = result.total_seconds;
   run.solve_seconds = result.selection.solve_seconds;

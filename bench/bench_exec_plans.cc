@@ -8,8 +8,9 @@
 //    own cover), vs
 //  * through Executor::ExecuteBatch (plans grouped by (instance, τ), one
 //    cover build per group), vs
-//  * through NetClusServer::SubmitBatch with the snapshot-versioned
-//    CoverCache on and off (concurrent readers rendezvous on one build).
+//  * through NetClusServer::SubmitAsync, all requests in flight at once,
+//    with the snapshot-versioned CoverCache on and off (concurrent
+//    readers rendezvous on one build).
 //
 // paper_shape: the shared batch builds 4 covers instead of 32 and runs
 // ≥2x faster wall-clock; the serving path reports a 28/32 cover-cache
@@ -20,6 +21,7 @@
 #include "bench_common.h"
 
 #include <fstream>
+#include <future>
 
 #include "api/engine.h"
 #include "exec/executor.h"
@@ -89,10 +91,7 @@ int main(int argc, char** argv) {
     const exec::Planner probe(&probe_ctx);
     std::unordered_map<exec::CoverKey, int, exec::CoverKeyHash> keys;
     for (const auto& spec : specs) {
-      keys[probe
-               .Plan(exec::RequestFromConfig(exec::QueryVariant::kTops,
-                                             spec.psi, spec.ToConfig(0)),
-                     engine.index(), specs.size())
+      keys[probe.Plan(spec.ToRequest(0), engine.index(), specs.size())
                .cover_key()]++;
     }
     distinct = keys.size();
@@ -104,10 +103,8 @@ int main(int argc, char** argv) {
   std::vector<exec::QueryPlan> plans;
   plans.reserve(specs.size());
   for (const auto& spec : specs) {
-    plans.push_back(planner.Plan(
-        exec::RequestFromConfig(exec::QueryVariant::kTops, spec.psi,
-                                spec.ToConfig(0)),
-        engine.index(), specs.size()));
+    plans.push_back(
+        planner.Plan(spec.ToRequest(0), engine.index(), specs.size()));
   }
   const exec::Executor executor(&engine.index(), &engine.store(),
                                 &engine.sites(), &ctx);
@@ -129,16 +126,25 @@ int main(int argc, char** argv) {
   });
   const double speedup = shared_s > 0.0 ? unshared_s / shared_s : 0.0;
 
-  // Serving path: SubmitBatch with the CoverCache off / on. The result
-  // cache is disabled so the measurement isolates cover sharing.
+  // Serving path: the whole batch in flight through SubmitAsync, with the
+  // CoverCache off / on. The result cache is disabled so the measurement
+  // isolates cover sharing.
   const auto serve_once = [&](bool cover_cache_on) {
     serve::ServerOptions options;
     options.cache.capacity = 0;
-    options.cover_cache.respect_env = false;
     if (!cover_cache_on) options.cover_cache.capacity = 0;
     auto server = engine.Serve(options);
     util::WallTimer timer;
-    (void)server->SubmitBatch(specs);
+    std::vector<std::future<serve::Response>> pending;
+    pending.reserve(specs.size());
+    for (const Engine::QuerySpec& spec : specs) {
+      serve::Request request;
+      request.spec = spec;
+      pending.push_back(server->SubmitAsync(std::move(request)));
+    }
+    for (std::future<serve::Response>& response : pending) {
+      NC_CHECK(response.get().status == serve::StatusCode::kOk);
+    }
     const double seconds = timer.Seconds();
     const serve::ServerStats stats = server->stats();
     server->Shutdown();

@@ -17,7 +17,6 @@ int main() {
   const uint32_t k = static_cast<uint32_t>(util::GetEnvInt("NETCLUS_K", 5));
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   const index::MultiIndex index = bench::BuildIndex(d);
-  const index::QueryEngine engine(&index, d.store.get(), &d.sites);
   const size_t m = d.num_trajectories();
 
   tops::CoverageConfig cc;
@@ -36,10 +35,13 @@ int main() {
     const tops::CapacityResult incg =
         CapacityGreedy(coverage, psi, capacity_config);
 
-    index::QueryConfig query;
-    query.k = k;
-    query.tau_m = tau;
-    const index::QueryResult netclus = engine.TopsCapacity(psi, query, caps);
+    exec::PlanRequest request;
+    request.variant = exec::QueryVariant::kTopsCapacity;
+    request.k = k;
+    request.tau_m = tau;
+    request.psi = psi;
+    request.site_capacities = caps;
+    const index::QueryResult netclus = bench::RunRequest(d, index, request);
     // Capacity semantics cap the served count, so score the clustered
     // answer by its own (capped) utility rather than unconstrained
     // re-evaluation.

@@ -18,7 +18,6 @@ int main() {
   const double budget = util::GetEnvDouble("NETCLUS_BUDGET", 5.0);
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   const index::MultiIndex index = bench::BuildIndex(d);
-  const index::QueryEngine engine(&index, d.store.get(), &d.sites);
   const size_t m = d.num_trajectories();
 
   // Exact covering sets once (costs change per row, covers don't).
@@ -41,10 +40,14 @@ int main() {
     const tops::CostResult incg = CostGreedy(coverage, psi, cost_config);
     const double incg_ms = (cover_seconds + incg_timer.Seconds()) * 1e3;
 
-    index::QueryConfig query;
-    query.tau_m = tau;
+    exec::PlanRequest request;
+    request.variant = exec::QueryVariant::kTopsCost;
+    request.tau_m = tau;
+    request.psi = psi;
+    request.site_costs = costs;
+    request.budget = budget;
     util::WallTimer netclus_timer;
-    const index::QueryResult netclus = engine.TopsCost(psi, query, costs, budget);
+    const index::QueryResult netclus = bench::RunRequest(d, index, request);
     const double netclus_ms = netclus_timer.Millis();
     const double netclus_utility = tops::CoverageIndex::EvaluateSelection(
         *d.store, d.sites, netclus.selection.sites, tau, psi);

@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include "data/datasets.h"
+#include "exec/executor.h"
+#include "exec/planner.h"
 #include "graph/dijkstra.h"
 #include "graph/generators.h"
 #include "netclus/multi_index.h"
@@ -213,13 +215,15 @@ void BM_NetClusQuery(benchmark::State& state) {
         index::MultiIndex::Build(*SharedDataset().store, SharedDataset().sites,
                                  config));
   }();
-  const index::QueryEngine engine(index, d.store.get(), &d.sites);
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  index::QueryConfig config;
-  config.k = 5;
-  config.tau_m = static_cast<double>(state.range(0));
+  exec::ExecContext ctx;
+  const exec::Planner planner(&ctx);
+  const exec::Executor executor(index, d.store.get(), &d.sites, &ctx);
+  exec::PlanRequest request;
+  request.k = 5;
+  request.tau_m = static_cast<double>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Tops(psi, config));
+    benchmark::DoNotOptimize(
+        executor.Execute(planner.Plan(request, *index, /*batch_size=*/1)));
   }
 }
 BENCHMARK(BM_NetClusQuery)->Arg(800)->Arg(1600)->Arg(3200)

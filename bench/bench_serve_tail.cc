@@ -1,33 +1,39 @@
-// Tail latency and sustained throughput of serving API v2 (src/serve)
-// under a mixed read/update workload with zipf-skewed query keys.
+// Serving throughput and tail latency (src/serve) under a mixed
+// read/update workload with zipf-skewed query keys.
 //
-// Two modes per cell, same engine, same query stream:
-//  * blocking — the v1 shim: each reader thread calls Submit() and waits
-//    for the answer before issuing the next query. Every snapshot publish
-//    invalidates the result/cover caches at the new version, so readers
-//    repeatedly stall behind fresh cover builds.
-//  * async — SubmitAsync() with a bounded in-flight window per reader,
-//    priority classes, and StalenessPolicy::AllowStaleVersion: under
-//    backpressure the scheduler sheds cover *builds* and serves
-//    stale-but-versioned answers from the caches, so cache-hit traffic
-//    never queues behind builds.
+// Every reader drives SubmitAsync() with a bounded in-flight window,
+// priority classes, and StalenessPolicy::AllowStaleVersion on most of
+// its stream: under backpressure the scheduler sheds cover *builds* and
+// serves stale-but-versioned answers from the caches, so cache-hit
+// traffic never queues behind builds. The sweep is reader threads ×
+// update stream kind × delta-aware cache carryover; each cell boots a
+// fresh server from the same built engine:
+//  * none — read-only baseline;
+//  * traj — trajectory add/remove batches: every publish dirties every
+//    index instance, so carryover has (correctly) nothing to carry;
+//  * site — paced AddSite stream: a site add leaves most (instance, τ)
+//    partitions untouched, so with carryover on the caches stay warm
+//    across publishes (cache_hit > 0 and `carried` grows) while with it
+//    off every publish resets them to cold.
 //
 // Reported per cell: completed (kOk) queries, wall time, QPS, latency
-// p50/p95/p99/p999, stale-serve share, and shed rate. The summary line
-// prints the async/blocking QPS speedup at the widest mixed cell.
+// p50/p95/p99/p999, stale-serve share, shed rate, result-cache hit rate,
+// entries carried across publishes, and snapshots published. The summary
+// line prints the carryover effect on the hit rate at the widest
+// site-update cell.
 //
-// paper_shape: at 8 readers with updates flowing, async sustains >= 5x
-// the blocking QPS because stale-tolerant requests ride the caches
-// instead of re-paying a cover build after every snapshot publish; shed
-// and stale responses are always flagged, never silently wrong.
+// paper_shape: read throughput holds up when updates stream in, because
+// readers never block on the writer (snapshot isolation) and
+// stale-tolerant requests ride the caches instead of re-paying a cover
+// build after every publish; carryover keeps the hit rate up under a
+// site-update stream; shed and stale responses are always flagged, never
+// silently wrong.
 //
-// Knobs: NETCLUS_SERVE_UPDATE_KIND=traj|site picks what the update
-// stream mutates (site publishes leave most partitions clean, so
-// delta-aware carryover keeps the caches warm); NETCLUS_CARRYOVER=0|1
-// pins carryover off/on (the CI serve leg runs both values). Besides the
-// stdout table, rows are written as JSON to BENCH_serve_tail.json
-// (override with NETCLUS_BENCH_JSON) so CI can track the tail-latency
-// trajectory.
+// Knobs: NETCLUS_CARRYOVER=0|1 restricts the carryover sweep to one
+// setting (the CI serve legs run both and upload distinct JSONs); unset
+// sweeps both. Besides the stdout table, rows are written as JSON to
+// BENCH_serve_tail.json (override with NETCLUS_BENCH_JSON) so CI can
+// track the serving trajectory.
 #include "bench_common.h"
 
 #include <algorithm>
@@ -105,8 +111,8 @@ class InFlightWindow {
 };
 
 struct CellResult {
-  std::string mode;
   uint32_t readers = 0;
+  std::string update_kind;  // none | traj | site
   uint32_t update_batch = 0;
   int carryover = 1;
   uint64_t ok = 0;
@@ -122,19 +128,32 @@ struct CellResult {
   uint64_t snapshots = 0;
 };
 
+// Site publishes are paced far slower than trajectory batches: sites
+// arrive rarely, and carryover re-keys entries from the superseded
+// version only, so the pace must exceed typical query latency for
+// results inserted at one version to carry into the next.
+constexpr uint32_t kSitePublishMs = 250;
+
 CellResult RunCell(const Engine& engine,
                    const std::vector<std::vector<graph::NodeId>>& update_pool,
                    const std::vector<graph::NodeId>& site_pool,
-                   const std::string& update_kind, bool async,
-                   uint32_t readers, uint32_t update_batch, size_t queries,
-                   uint32_t publish_ms, uint64_t stale_lag, int carryover) {
+                   const std::string& update_kind, uint32_t readers,
+                   uint32_t traj_batch, size_t queries, uint32_t publish_ms,
+                   uint64_t stale_lag, int carryover) {
   serve::ServerOptions options;
   options.updates.max_batch = 64;
   options.carryover = carryover;
   auto server = engine.Serve(options);
 
+  // One site per publish: a site add dirties only the instances whose
+  // cluster representative it displaces, so single-site publishes leave
+  // most partitions clean — the carryover case. Batching several sites
+  // per publish would union their dirt and mostly erase it.
+  const uint32_t update_batch =
+      update_kind == "traj" ? traj_batch : (update_kind == "site" ? 1u : 0u);
+
   // 64 distinct specs, zipf-ranked: rank r maps to a fixed (k, τ) pair so
-  // the hot set is stable across the run and across modes.
+  // the hot set is stable across the run and across cells.
   constexpr size_t kSpecPool = 64;
   auto spec_for = [](size_t rank) {
     Engine::QuerySpec spec;
@@ -179,7 +198,7 @@ CellResult RunCell(const Engine& engine,
           server->MutateAddSite(site_pool[cursor++]);
         }
         server->Flush();
-        std::this_thread::sleep_for(std::chrono::milliseconds(publish_ms));
+        std::this_thread::sleep_for(std::chrono::milliseconds(kSitePublishMs));
       }
     });
   }
@@ -190,19 +209,10 @@ CellResult RunCell(const Engine& engine,
     const size_t per_reader = queries / readers + (r < queries % readers);
     pool.emplace_back([&, r, per_reader] {
       util::Rng rng(0xbeef + r);
-      if (!async) {
-        for (size_t q = 0; q < per_reader; ++q) {
-          const serve::ServeResult res =
-              server->Submit(spec_for(zipf.Sample(rng)));
-          if (res.status == serve::StatusCode::kOk) {
-            ok.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            shed.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        return;
-      }
-      InFlightWindow window(64);
+      // A short window keeps arrivals spread over the cell, so later
+      // requests can hit (or carry) what earlier ones cached; a window
+      // as large as the query budget would admit everything at once.
+      InFlightWindow window(8);
       for (size_t q = 0; q < per_reader; ++q) {
         serve::Request request;
         request.spec = spec_for(zipf.Sample(rng));
@@ -237,8 +247,8 @@ CellResult RunCell(const Engine& engine,
 
   const serve::ServerStats stats = server->stats();
   CellResult cell;
-  cell.mode = async ? "async" : "blocking";
   cell.readers = readers;
+  cell.update_kind = update_kind;
   cell.update_batch = update_batch;
   cell.carryover = carryover;
   cell.ok = ok.load();
@@ -271,11 +281,12 @@ int main(int argc, char** argv) {
   using namespace netclus;
   bench::PrintHeader(
       "ServeTail",
-      "Tail latency under mixed read/update load, blocking vs async "
+      "Serving throughput and tail latency under mixed read/update load "
       "(src/serve)",
-      "async sustains >= 5x blocking QPS at 8 readers with updates "
-      "flowing: stale-tolerant requests ride the caches instead of "
-      "re-paying cover builds after every publish");
+      "read QPS survives a live update stream: stale-tolerant requests "
+      "ride the caches instead of re-paying cover builds after every "
+      "publish, and delta-aware carryover keeps the caches warm across "
+      "site publishes");
 
   data::Dataset d = bench::MakeDataset("beijing-lite", 0.15);
 
@@ -326,7 +337,7 @@ int main(int argc, char** argv) {
 
   const size_t queries = static_cast<size_t>(
       util::GetEnvInt("NETCLUS_SERVE_QUERIES", 512));
-  const uint32_t update_batch = static_cast<uint32_t>(
+  const uint32_t traj_batch = static_cast<uint32_t>(
       util::GetEnvInt("NETCLUS_SERVE_UPDATE_BATCH", 16));
   const uint32_t publish_ms = static_cast<uint32_t>(
       util::GetEnvInt("NETCLUS_SERVE_PUBLISH_MS", 25));
@@ -334,59 +345,67 @@ int main(int argc, char** argv) {
   // paced publish rate this is a window of a few seconds of staleness.
   const uint64_t stale_lag = static_cast<uint64_t>(
       util::GetEnvInt("NETCLUS_SERVE_STALE_LAG", 64));
-  // What the update stream mutates: "traj" (default — every publish
-  // dirties everything) or "site" (most partitions stay clean, the
-  // carryover showcase).
-  const std::string update_kind =
-      util::GetEnvString("NETCLUS_SERVE_UPDATE_KIND", "traj");
-  // Delta-aware cache carryover: NETCLUS_CARRYOVER=0|1 pins it (the CI
-  // serve leg runs both values); unset keeps the server default (on).
-  const int carryover = static_cast<int>(
+  // NETCLUS_CARRYOVER set → bench only that setting (the CI serve legs
+  // run the bench once per value); unset → sweep off and on.
+  const int carryover_env = static_cast<int>(
       util::GetEnvInt("NETCLUS_CARRYOVER", -1));
-  const int carryover_effective = carryover < 0 ? 1 : (carryover != 0);
+  const std::vector<int> carryover_sweep =
+      carryover_env < 0 ? std::vector<int>{0, 1}
+                        : std::vector<int>{carryover_env != 0 ? 1 : 0};
 
   std::vector<CellResult> cells;
-  util::Table table({"mode", "readers", "upd_kind", "carryover", "ok",
-                     "stale", "shed", "wall_s", "qps", "p50_ms", "p95_ms",
-                     "p99_ms", "p999_ms", "shed_rate", "cache_hit", "carried",
+  util::Table table({"readers", "upd_kind", "carryover", "ok", "stale",
+                     "shed", "wall_s", "qps", "p50_ms", "p95_ms", "p99_ms",
+                     "p999_ms", "shed_rate", "cache_hit", "carried",
                      "snapshots"});
+  const auto run_row = [&](uint32_t readers, const std::string& kind,
+                           int carryover) {
+    const CellResult cell =
+        RunCell(engine, update_pool, site_pool, kind, readers, traj_batch,
+                queries, publish_ms, stale_lag, carryover);
+    cells.push_back(cell);
+    table.Row()
+        .Cell(static_cast<uint64_t>(cell.readers))
+        .Cell(cell.update_kind)
+        .Cell(static_cast<uint64_t>(cell.carryover))
+        .Cell(cell.ok)
+        .Cell(cell.stale)
+        .Cell(cell.shed)
+        .Cell(cell.wall_s, 3)
+        .Cell(cell.qps, 1)
+        .Cell(cell.p50_ms, 2)
+        .Cell(cell.p95_ms, 2)
+        .Cell(cell.p99_ms, 2)
+        .Cell(cell.p999_ms, 2)
+        .Cell(cell.shed_rate, 2)
+        .Cell(cell.cache_hit_rate, 2)
+        .Cell(cell.carried)
+        .Cell(cell.snapshots);
+  };
   for (const uint32_t readers : {2u, 8u}) {
-    for (const bool async : {false, true}) {
-      const CellResult cell =
-          RunCell(engine, update_pool, site_pool, update_kind, async, readers,
-                  update_batch, queries, publish_ms, stale_lag, carryover);
-      cells.push_back(cell);
-      table.Row()
-          .Cell(cell.mode)
-          .Cell(static_cast<uint64_t>(cell.readers))
-          .Cell(update_kind)
-          .Cell(static_cast<uint64_t>(carryover_effective))
-          .Cell(cell.ok)
-          .Cell(cell.stale)
-          .Cell(cell.shed)
-          .Cell(cell.wall_s, 3)
-          .Cell(cell.qps, 1)
-          .Cell(cell.p50_ms, 2)
-          .Cell(cell.p95_ms, 2)
-          .Cell(cell.p99_ms, 2)
-          .Cell(cell.p999_ms, 2)
-          .Cell(cell.shed_rate, 2)
-          .Cell(cell.cache_hit_rate, 2)
-          .Cell(cell.carried)
-          .Cell(cell.snapshots);
+    // Read-only baseline: carryover has no publishes to act on.
+    run_row(readers, "none", 1);
+  }
+  for (const std::string kind : {"traj", "site"}) {
+    for (const int carryover : carryover_sweep) {
+      for (const uint32_t readers : {2u, 8u}) {
+        run_row(readers, kind, carryover);
+      }
     }
   }
   table.PrintText(std::cout);
 
-  // Headline: async vs blocking at the widest mixed cell (8 readers).
-  double blocking_qps = 0.0, async_qps = 0.0;
+  // Headline: the carryover effect at the widest site-update cell.
+  double site_hit_on = -1.0, site_hit_off = -1.0;
   for (const CellResult& c : cells) {
-    if (c.readers != 8) continue;
-    (c.mode == "async" ? async_qps : blocking_qps) = c.qps;
+    if (c.update_kind != "site" || c.readers != 8) continue;
+    (c.carryover ? site_hit_on : site_hit_off) = c.cache_hit_rate;
   }
-  if (blocking_qps > 0.0) {
-    std::printf("\nasync/blocking QPS at 8 readers: %.1fx\n",
-                async_qps / blocking_qps);
+  if (site_hit_on >= 0.0 && site_hit_off >= 0.0) {
+    std::printf(
+        "\ncache hit rate under the site-update stream at 8 readers: "
+        "%.2f with carryover vs %.2f without\n",
+        site_hit_on, site_hit_off);
   }
 
   const std::string json_path = bench::JsonOutPath(argc, argv, "BENCH_serve_tail.json");
@@ -394,9 +413,9 @@ int main(int argc, char** argv) {
   json << "{\n  \"bench\": \"serve_tail\",\n  \"rows\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
-    json << "    {\"mode\": \"" << c.mode << "\", \"readers\": " << c.readers
-         << ", \"update_kind\": \"" << update_kind << "\""
-         << ", \"carryover\": " << carryover_effective
+    json << "    {\"readers\": " << c.readers
+         << ", \"update_kind\": \"" << c.update_kind << "\""
+         << ", \"carryover\": " << c.carryover
          << ", \"update_batch\": " << c.update_batch << ", \"ok\": " << c.ok
          << ", \"stale\": " << c.stale << ", \"shed\": " << c.shed
          << ", \"wall_s\": " << c.wall_s << ", \"qps\": " << c.qps

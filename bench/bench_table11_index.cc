@@ -121,7 +121,9 @@ int main(int argc, char** argv) {
       static_cast<const uint8_t*>(budgeted.instance(0).cc_arena_id()));
   NC_CHECK(pool != nullptr);
 
-  const index::QueryEngine engine(&budgeted, d.store.get(), &d.sites);
+  exec::ExecContext ctx;
+  const exec::Planner planner(&ctx);
+  const exec::Executor executor(&budgeted, d.store.get(), &d.sites, &ctx);
   // Zipf-skewed tau mix: rank r is drawn with p ~ 1/(r+1), so a couple of
   // radii dominate (hot instances) while the tail still forces the pool
   // to swap cold instances in and out.
@@ -144,11 +146,13 @@ int main(int argc, char** argv) {
     return taus.back();
   };
   auto run_query = [&](double tau) {
-    index::QueryConfig config;
-    config.k = 5;
-    config.tau_m = tau;
+    exec::PlanRequest request;
+    request.k = 5;
+    request.tau_m = tau;
+    request.psi = psi;
     util::WallTimer timer;
-    const auto result = engine.Tops(psi, config);
+    const auto result =
+        executor.Execute(planner.Plan(request, budgeted, /*batch_size=*/1));
     NC_CHECK(!result.selection.sites.empty());
     return timer.Seconds() * 1000.0;
   };

@@ -15,10 +15,8 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/engine.h"
 #include "data/datasets.h"
-#include "netclus/multi_index.h"
-#include "netclus/query.h"
-#include "tops/inc_greedy.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -32,46 +30,42 @@ int main() {
   const double tau = 900.0;
   const tops::PreferenceFunction psi = tops::PreferenceFunction::ConvexProbability(2.0);
 
+  Engine::Options options;
+  options.index.gamma = 0.75;
+  options.index.tau_min_m = 400.0;
+  options.index.tau_max_m = 5000.0;
+  Engine engine(*city.network, city.sites, options);
+  for (traj::TrajId t = 0; t < city.store->total_count(); ++t) {
+    engine.AddTrajectory(city.store->trajectory(t).nodes());
+  }
+
   // The incumbent: Inc-Greedy's unconstrained top-3 (the "obvious" spots).
-  tops::CoverageConfig cc;
-  cc.tau_m = tau;
   util::WallTimer exact_timer;
-  const tops::CoverageIndex coverage =
-      tops::CoverageIndex::Build(*city.store, city.sites, cc);
-  tops::GreedyConfig greedy_config;
-  greedy_config.k = 3;
-  const tops::Selection incumbent = IncGreedy(coverage, psi, greedy_config);
+  const tops::Selection incumbent = engine.ExactGreedy(3, tau, psi);
   std::printf("incumbent boards (exact greedy, %.1f s incl. covering sets): ",
               exact_timer.Seconds());
   for (tops::SiteId s : incumbent.sites) std::printf("%u ", city.sites.node(s));
   std::printf("reach %.0f\n\n", incumbent.utility);
 
   // The entrant uses NetClus: build once, query interactively.
-  index::MultiIndexConfig config;
-  config.gamma = 0.75;
-  config.tau_min_m = 400.0;
-  config.tau_max_m = 5000.0;
-  const index::MultiIndex index =
-      index::MultiIndex::Build(*city.store, city.sites, config);
-  const index::QueryEngine engine(&index, city.store.get(), &city.sites);
+  engine.BuildIndex();
+  const double incumbent_only = engine.EvaluateExact(incumbent.sites, tau, psi);
 
   util::Table table({"k", "entrant_reach", "total_reach", "query_ms"});
   for (const uint32_t k : {1u, 2u, 4u, 8u}) {
-    index::QueryConfig query;
+    Engine::QuerySpec query;
     query.k = k;
     query.tau_m = tau;
+    query.psi = psi;
     query.existing_services = incumbent.sites;
     util::WallTimer timer;
-    const index::QueryResult result = engine.Tops(psi, query);
+    const index::QueryResult result = engine.Run(query);
     const double ms = timer.Millis();
     // Evaluate the entrant's true incremental reach.
     std::vector<tops::SiteId> combined = incumbent.sites;
     combined.insert(combined.end(), result.selection.sites.begin(),
                     result.selection.sites.end());
-    const double total = tops::CoverageIndex::EvaluateSelection(
-        *city.store, city.sites, combined, tau, psi);
-    const double incumbent_only = tops::CoverageIndex::EvaluateSelection(
-        *city.store, city.sites, incumbent.sites, tau, psi);
+    const double total = engine.EvaluateExact(combined, tau, psi);
     table.Row()
         .Cell(static_cast<uint64_t>(k))
         .Cell(total - incumbent_only, 1)

@@ -15,10 +15,8 @@
 #include <cstdio>
 #include <iostream>
 
+#include "api/engine.h"
 #include "data/datasets.h"
-#include "netclus/multi_index.h"
-#include "netclus/query.h"
-#include "tops/variants.h"
 #include "util/table.h"
 
 int main() {
@@ -41,26 +39,31 @@ int main() {
   }
 
   // Offline: build the index once.
-  index::MultiIndexConfig config;
-  config.gamma = 0.75;
-  config.tau_min_m = 400.0;
-  config.tau_max_m = 6000.0;
-  const index::MultiIndex index =
-      index::MultiIndex::Build(*city.store, city.sites, config);
-  std::printf("index: %zu instances, %s\n\n", index.num_instances(),
-              util::HumanBytes(index.MemoryBytes()).c_str());
+  Engine::Options options;
+  options.index.gamma = 0.75;
+  options.index.tau_min_m = 400.0;
+  options.index.tau_max_m = 6000.0;
+  Engine engine(*city.network, city.sites, options);
+  for (traj::TrajId t = 0; t < city.store->total_count(); ++t) {
+    engine.AddTrajectory(city.store->trajectory(t).nodes());
+  }
+  engine.BuildIndex();
+  std::printf("index: %zu instances, %s\n\n", engine.index().num_instances(),
+              util::HumanBytes(engine.index().MemoryBytes()).c_str());
 
   // Online: sweep the budget and watch coverage grow.
-  const index::QueryEngine engine(&index, city.store.get(), &city.sites);
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   util::Table table({"budget", "stations", "spent", "covered", "covered_%"});
   for (const double budget : {1.0, 2.0, 4.0, 8.0, 16.0}) {
-    index::QueryConfig query;
+    Engine::QuerySpec query;
+    query.variant = exec::QueryVariant::kTopsCost;
     query.tau_m = 1000.0;
-    const index::QueryResult result =
-        engine.TopsCost(psi, query, land_price, budget);
-    const double covered = tops::CoverageIndex::EvaluateSelection(
-        *city.store, city.sites, result.selection.sites, query.tau_m, psi);
+    query.psi = psi;
+    query.site_costs = land_price;
+    query.budget = budget;
+    const index::QueryResult result = engine.Run(query);
+    const double covered =
+        engine.EvaluateExact(result.selection.sites, query.tau_m, psi);
     double spent = 0.0;
     for (tops::SiteId s : result.selection.sites) spent += land_price[s];
     table.Row()

@@ -22,6 +22,7 @@
 // Run: NETCLUS_TRACE_SAMPLE=1.0 ./build/examples/live_placement_service
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -91,20 +92,24 @@ int main() {
   // Boot the serving layer: snapshot isolation + update pipeline + cache.
   auto server = engine.Serve();
 
-  // 1. Morning: four dispatcher threads fire placement queries at once.
-  Engine::QuerySpec vans;
-  vans.k = 4;
-  vans.tau_m = 800.0;
+  // 1. Morning: four dispatcher threads each keep five placement
+  // requests in flight at once, then wait for the answers.
+  serve::Request vans;
+  vans.spec.k = 4;
+  vans.spec.tau_m = 800.0;
   std::vector<std::thread> dispatchers;
   for (int t = 0; t < 4; ++t) {
     dispatchers.emplace_back([&] {
-      for (int q = 0; q < 5; ++q) (void)server->Submit(vans);
+      std::vector<std::future<serve::Response>> pending;
+      for (int q = 0; q < 5; ++q) pending.push_back(server->SubmitAsync(vans));
+      for (std::future<serve::Response>& answer : pending) (void)answer.get();
     });
   }
   for (std::thread& t : dispatchers) t.join();
-  const serve::ServeResult morning = server->Submit(vans);
+  const serve::Response morning = server->SubmitAsync(vans).get();
   std::printf("\nmorning (snapshot v%llu): top-%u sites:",
-              static_cast<unsigned long long>(morning.snapshot_version), vans.k);
+              static_cast<unsigned long long>(morning.snapshot_version),
+              vans.spec.k);
   for (tops::SiteId s : morning.result.selection.sites) std::printf(" %u", s);
   std::printf("  (utility %.0f, cache_hit=%s)\n",
               morning.result.selection.utility,
@@ -127,10 +132,10 @@ int main() {
               static_cast<unsigned long long>(server->snapshot()->version()));
 
   // 3. Afternoon: the same question, answered on the new snapshot.
-  const serve::ServeResult afternoon = server->Submit(vans);
+  const serve::Response afternoon = server->SubmitAsync(vans).get();
   std::printf("afternoon (snapshot v%llu): top-%u sites:",
               static_cast<unsigned long long>(afternoon.snapshot_version),
-              vans.k);
+              vans.spec.k);
   for (tops::SiteId s : afternoon.result.selection.sites) std::printf(" %u", s);
   std::printf("  (utility %.0f)\n", afternoon.result.selection.utility);
   std::printf("the corridor pulled utility from %.0f to %.0f\n",

@@ -68,7 +68,11 @@ int main() {
 
   // 4. Online phase: TOPS(k = 5, τ = 800 m, binary ψ).
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const auto result = engine.TopK(5, 800.0, psi);
+  Engine::QuerySpec query;
+  query.k = 5;
+  query.tau_m = 800.0;
+  query.psi = psi;
+  const auto result = engine.Run(query);
   const double exact_utility =
       engine.EvaluateExact(result.selection.sites, 800.0, psi);
   std::printf("\nNetClus top-5 sites (tau = 800 m), instance %zu, %.1f ms:\n",

@@ -79,8 +79,7 @@ void Engine::BuildIndex() {
   if (config.threads == 0) config.threads = options_.threads;
   index_ = std::make_unique<index::MultiIndex>(
       index::MultiIndex::Build(*store_, *sites_, config, backend()));
-  query_ = std::make_unique<index::QueryEngine>(index_.get(), store_.get(),
-                                                sites_.get());
+  ctx_ = std::make_unique<exec::ExecContext>();
 }
 
 bool Engine::SaveIndexToFile(const std::string& path, std::string* error) const {
@@ -107,14 +106,18 @@ bool Engine::LoadIndexFromFile(const std::string& path, std::string* error) {
     spf_ = std::move(loaded_backend);
   }
   index_ = std::move(loaded);
-  query_ = std::make_unique<index::QueryEngine>(index_.get(), store_.get(),
-                                                sites_.get());
+  ctx_ = std::make_unique<exec::ExecContext>();
   return true;
 }
 
 exec::PlanRequest Engine::QuerySpec::ToRequest(uint32_t threads) const {
-  exec::PlanRequest request =
-      exec::RequestFromConfig(variant, psi, ToConfig(threads));
+  exec::PlanRequest request;
+  request.variant = variant;
+  request.k = k;
+  request.tau_m = tau_m;
+  request.psi = psi;
+  request.use_fm = use_fm;
+  request.existing_services = existing_services;
   if (variant == exec::QueryVariant::kTopsCost) {
     request.site_costs = site_costs;
     request.budget = budget;
@@ -122,31 +125,18 @@ exec::PlanRequest Engine::QuerySpec::ToRequest(uint32_t threads) const {
   if (variant == exec::QueryVariant::kTopsCapacity) {
     request.site_capacities = site_capacities;
   }
+  request.threads = threads;
   return request;
 }
 
 index::QueryResult Engine::Run(const QuerySpec& spec) const {
   NC_CHECK(index_ != nullptr) << "call BuildIndex() first";
-  exec::ExecContext* ctx = query_->exec_context();
-  const exec::Planner planner(ctx);
+  const exec::Planner planner(ctx_.get());
   const exec::QueryPlan plan =
       planner.Plan(spec.ToRequest(options_.threads), *index_,
                    /*batch_size=*/1);
-  return exec::Executor(index_.get(), store_.get(), sites_.get(), ctx)
+  return exec::Executor(index_.get(), store_.get(), sites_.get(), ctx_.get())
       .Execute(plan);
-}
-
-index::QueryResult Engine::TopK(uint32_t k, double tau_m,
-                                const tops::PreferenceFunction& psi,
-                                bool use_fm,
-                                const std::vector<tops::SiteId>& existing) const {
-  QuerySpec spec;
-  spec.k = k;
-  spec.tau_m = tau_m;
-  spec.psi = psi;
-  spec.use_fm = use_fm;
-  spec.existing_services = existing;
-  return Run(spec);
 }
 
 std::vector<index::QueryResult> Engine::TopKBatch(
@@ -158,55 +148,26 @@ std::vector<index::QueryResult> Engine::TopKBatch(
   // loops across all threads), then hand the batch to the executor, which
   // groups plans by (instance, τ) and builds each T̂C once. Every stage is
   // deterministic, so the answers are identical in both regimes and to
-  // sequential TopK calls.
-  exec::ExecContext* ctx = query_->exec_context();
-  const exec::Planner planner(ctx);
+  // sequential Run calls.
+  const exec::Planner planner(ctx_.get());
   std::vector<exec::QueryPlan> plans;
   plans.reserve(specs.size());
   for (const QuerySpec& spec : specs) {
-    plans.push_back(planner.Plan(
-        exec::RequestFromConfig(exec::QueryVariant::kTops, spec.psi,
-                                spec.ToConfig(options_.threads)),
-        *index_, specs.size()));
+    plans.push_back(planner.Plan(spec.ToRequest(options_.threads), *index_,
+                                 specs.size()));
   }
-  return exec::Executor(index_.get(), store_.get(), sites_.get(), ctx)
+  return exec::Executor(index_.get(), store_.get(), sites_.get(), ctx_.get())
       .ExecuteBatch(plans, options_.threads);
 }
 
 exec::StatsRegistry::Snapshot Engine::ExecStats() const {
-  if (query_ == nullptr) return {};
-  return query_->exec_context()->stats.snapshot();
+  if (ctx_ == nullptr) return {};
+  return ctx_->stats.snapshot();
 }
 
 std::string Engine::DumpMetrics(obs::ExportFormat format) const {
-  if (query_ == nullptr) {
-    return obs::MetricsRegistry().Export(format);
-  }
-  return query_->exec_context()->metrics.Export(format);
-}
-
-index::QueryResult Engine::TopKWithBudget(
-    double budget, double tau_m, const tops::PreferenceFunction& psi,
-    const std::vector<double>& site_costs) const {
-  QuerySpec spec;
-  spec.variant = exec::QueryVariant::kTopsCost;
-  spec.tau_m = tau_m;
-  spec.psi = psi;
-  spec.site_costs = site_costs;
-  spec.budget = budget;
-  return Run(spec);
-}
-
-index::QueryResult Engine::TopKWithCapacity(
-    uint32_t k, double tau_m, const tops::PreferenceFunction& psi,
-    const std::vector<double>& site_capacities) const {
-  QuerySpec spec;
-  spec.variant = exec::QueryVariant::kTopsCapacity;
-  spec.k = k;
-  spec.tau_m = tau_m;
-  spec.psi = psi;
-  spec.site_capacities = site_capacities;
-  return Run(spec);
+  if (ctx_ == nullptr) return obs::MetricsRegistry().Export(format);
+  return ctx_->metrics.Export(format);
 }
 
 tops::CoverageIndex Engine::BuildCoverage(double tau_m,

@@ -8,7 +8,10 @@
 //   engine.AddTrajectory({n1, n2, ...});        // map-matched input
 //   engine.AddGpsTrace(trace);                  // raw GPS input
 //   engine.BuildIndex();                        // offline phase
-//   auto result = engine.TopK(k, tau_m, psi);   // online TOPS query
+//   Engine::QuerySpec spec;                     // TOPS(k, τ, ψ) or a
+//   spec.k = 5;                                 // cost / capacity variant
+//   spec.tau_m = 800.0;
+//   auto result = engine.Run(spec);             // online query
 //   engine.AddTrajectory(...);                  // dynamic updates keep
 //                                               // the index current
 //
@@ -101,23 +104,12 @@ class Engine {
     /// (variant == kTopsCapacity only).
     std::vector<double> site_capacities;
 
-    /// The QueryConfig this spec denotes (kTops fields only), with the
-    /// caller's thread budget. Kept as the replay-test surface; new
-    /// callers go through ToRequest.
-    index::QueryConfig ToConfig(uint32_t threads) const {
-      index::QueryConfig config;
-      config.k = k;
-      config.tau_m = tau_m;
-      config.use_fm_sketch = use_fm;
-      config.existing_services = existing_services;
-      config.threads = threads;
-      return config;
-    }
-
-    /// The PlanRequest this spec denotes — the single spec → planner
-    /// mapping point, so a new spec field cannot be silently dropped by
-    /// one of the consumers. The request's cost / capacity spans borrow
-    /// this spec's vectors: the spec must outlive the plan's execution.
+    /// The PlanRequest this spec denotes, with the caller's thread budget
+    /// — the single spec → planner mapping, shared by Run, TopKBatch, the
+    /// serving layer and its cache keys, so a new spec field cannot be
+    /// silently dropped by one of them. The request's cost / capacity
+    /// spans borrow this spec's vectors: the spec must outlive the plan's
+    /// execution.
     exec::PlanRequest ToRequest(uint32_t threads) const;
   };
 
@@ -171,36 +163,19 @@ class Engine {
 
   // --- online queries (NetClus) ---------------------------------------------
 
-  /// The one online entry point: plans `spec` (any variant) through the
-  /// exec layer and runs CoverBuild → Solve → Assemble. TopK /
-  /// TopKWithBudget / TopKWithCapacity, TopKBatch, and the serving layer
-  /// are all shims over this same path, so their answers are identical
-  /// spec for spec. Throws std::invalid_argument on malformed payloads
-  /// (cost / capacity vectors must be site-indexed).
+  /// The one online entry point: plans `spec` (any variant; `use_fm`
+  /// selects FMNETCLUS, binary ψ only) through the exec layer and runs
+  /// CoverBuild → Solve → Assemble. TopKBatch and the serving layer plan
+  /// the same ToRequest mapping, so their answers are identical spec for
+  /// spec. Throws std::invalid_argument on malformed payloads (cost /
+  /// capacity vectors must be site-indexed).
   index::QueryResult Run(const QuerySpec& spec) const;
 
-  /// TOPS(k, τ, ψ) via NetClus. `use_fm` selects FMNETCLUS (binary ψ
-  /// only). Shim over Run.
-  index::QueryResult TopK(uint32_t k, double tau_m,
-                          const tops::PreferenceFunction& psi,
-                          bool use_fm = false,
-                          const std::vector<tops::SiteId>& existing = {}) const;
-
-  /// TOPS-COST via NetClus. Shim over Run (variant = kTopsCost).
-  index::QueryResult TopKWithBudget(double budget, double tau_m,
-                                    const tops::PreferenceFunction& psi,
-                                    const std::vector<double>& site_costs) const;
-
-  /// TOPS-CAPACITY via NetClus. Shim over Run (variant = kTopsCapacity).
-  index::QueryResult TopKWithCapacity(
-      uint32_t k, double tau_m, const tops::PreferenceFunction& psi,
-      const std::vector<double>& site_capacities) const;
-
-  /// Answers a batch of independent TOPS queries concurrently over the
-  /// shared immutable index, using Options::threads workers. Results are in
-  /// input order and identical — query by query — to issuing each spec
-  /// through TopK sequentially. This is the serving entry point: one built
-  /// index, many concurrent (k, τ, ψ) requests.
+  /// Answers a batch of independent queries (any variant) concurrently
+  /// over the shared immutable index, using Options::threads workers.
+  /// Results are in input order and identical — query by query — to
+  /// issuing each spec through Run sequentially; a malformed spec throws
+  /// std::invalid_argument before any query runs.
   ///
   /// Specs are planned through the exec layer and grouped by
   /// (instance, τ): each distinct approximate cover T̂C is built once and
@@ -276,10 +251,11 @@ class Engine {
   const graph::spf::DistanceBackend* backend() const EXCLUDES(spf_mu_);
 
   Options options_;
-  // Everything query_ points at lives behind a stable heap address (network,
-  // store, sites), so the implicit move keeps a built Engine's query engine
-  // valid — Engine is safely movable after BuildIndex(). The mutex lives
-  // behind a unique_ptr for the same reason (a mutex is immovable).
+  // Everything the index and the executor point at lives behind a stable
+  // heap address (network, store, sites), so the implicit move keeps a
+  // built Engine valid — Engine is safely movable after BuildIndex(). The
+  // mutex lives behind a unique_ptr for the same reason (a mutex is
+  // immovable).
   std::unique_ptr<graph::RoadNetwork> network_;
   mutable std::unique_ptr<nc::Mutex> spf_mu_ = std::make_unique<nc::Mutex>();
   mutable std::shared_ptr<const graph::spf::DistanceBackend> spf_
@@ -288,7 +264,9 @@ class Engine {
   std::unique_ptr<tops::SiteSet> sites_;
   std::unique_ptr<traj::MapMatcher> matcher_;
   std::unique_ptr<index::MultiIndex> index_;
-  std::unique_ptr<index::QueryEngine> query_;
+  /// Stats, metrics and warn-once state of the online queries; replaced
+  /// together with the index by BuildIndex and LoadIndexFromFile.
+  std::unique_ptr<exec::ExecContext> ctx_;
 };
 
 }  // namespace netclus

@@ -45,8 +45,8 @@ enum class SolverKind : uint8_t {
 const char* VariantName(QueryVariant variant);
 const char* SolverName(SolverKind solver);
 
-/// What a caller asks for, before planning. The superset of the legacy
-/// QueryConfig / Engine::QuerySpec surfaces plus the variant payloads.
+/// What a caller asks for, before planning. Engine::QuerySpec::ToRequest
+/// is the one mapping from a spec; bare-index callers fill it directly.
 struct PlanRequest {
   QueryVariant variant = QueryVariant::kTops;
   uint32_t k = 5;
@@ -56,9 +56,9 @@ struct PlanRequest {
   uint32_t fm_copies = 30;
   std::vector<tops::SiteId> existing_services;
   /// TOPS-COST payload (site-indexed costs + budget). Borrowed, not
-  /// copied: the caller's vector must outlive the plan's execution (the
-  /// legacy path took the same const reference; plans with payloads are
-  /// transient and never cached — see QueryPlan::cacheable).
+  /// copied: the caller's vector must outlive the plan's execution (plans
+  /// with payloads are transient and never cached — see
+  /// QueryPlan::cacheable).
   std::span<const double> site_costs;
   double budget = 0.0;
   /// TOPS-CAPACITY payload (site-indexed capacities). Borrowed like

@@ -6,21 +6,6 @@
 
 namespace netclus::exec {
 
-PlanRequest RequestFromConfig(QueryVariant variant,
-                              const tops::PreferenceFunction& psi,
-                              const index::QueryConfig& config) {
-  PlanRequest request;
-  request.variant = variant;
-  request.k = config.k;
-  request.tau_m = config.tau_m;
-  request.psi = psi;
-  request.use_fm = config.use_fm_sketch;
-  request.fm_copies = config.fm_copies;
-  request.existing_services = config.existing_services;
-  request.threads = config.threads;
-  return request;
-}
-
 QueryPlan Planner::Plan(const PlanRequest& request,
                         const index::MultiIndex& index,
                         size_t batch_size) const {

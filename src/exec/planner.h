@@ -24,17 +24,8 @@
 #include "exec/plan.h"
 #include "exec/stats.h"
 #include "netclus/multi_index.h"
-#include "netclus/query.h"
 
 namespace netclus::exec {
-
-/// The single QueryConfig → PlanRequest mapping point, layered on
-/// Engine::QuerySpec::ToConfig the same way: a result-affecting field
-/// added to QueryConfig has exactly one place to be threaded through.
-/// Variant payloads (costs/budget/capacities) are set by the caller.
-PlanRequest RequestFromConfig(QueryVariant variant,
-                              const tops::PreferenceFunction& psi,
-                              const index::QueryConfig& config);
 
 class Planner {
  public:

@@ -10,9 +10,9 @@
 //
 // ExecContext bundles the registry with the little bit of per-engine
 // mutable state the execution layer needs (the warn-once flag for the
-// FM + existing-services fallback). One ExecContext lives per Engine,
-// per QueryEngine, and per NetClusServer — "once per engine" semantics
-// fall out of that ownership.
+// FM + existing-services fallback). One ExecContext lives per Engine
+// (replaced with its index) and per NetClusServer — "once per engine"
+// semantics fall out of that ownership.
 #ifndef NETCLUS_EXEC_STATS_H_
 #define NETCLUS_EXEC_STATS_H_
 
@@ -113,9 +113,8 @@ class StatsRegistry {
 
 /// Per-engine execution context: the stats registry, the engine's metrics
 /// registry (exported by Engine::DumpMetrics / NetClusServer::DumpMetrics),
-/// and warn-once state. Shared (via shared_ptr) between the planner and
-/// executor instances an engine creates, and across copies of a
-/// QueryEngine.
+/// and warn-once state. Borrowed by every planner and executor instance
+/// the owning engine or server creates.
 struct ExecContext {
   // Declared before `stats` so it outlives the bound instruments.
   obs::MetricsRegistry metrics;

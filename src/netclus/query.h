@@ -1,4 +1,4 @@
-// Online phase: TOPS-Cluster queries over the multi-resolution index
+// The answer of a TOPS-Cluster query over the multi-resolution index
 // (Sec. 5).
 //
 // Given (k, τ, ψ): pick instance p = ⌊log_{1+γ}(τ/τ_min)⌋; for every
@@ -11,50 +11,20 @@
 // by wrapping T̂C in a tops::CoverageIndex. d̂_r ≥ d_r, so T̂C ⊆ TC and the
 // Theorem 7 bounds hold.
 //
-// Since the planner/executor refactor, QueryEngine is a thin compatibility
-// facade: every method plans the request with exec::Planner and runs it
-// through exec::Executor's CoverBuild → Solve → Assemble stages (see
-// src/exec/ and docs/query_planning.md). The methods are defined in
-// src/exec/query_engine.cc — link netclus_exec (any target linking
-// netclus_api or netclus_serve already does). Results are bit-identical
-// to the pre-refactor monolithic path at every thread count and distance
-// backend; tests/test_exec.cc pins this differentially.
+// Queries are planned by exec::Planner and run by exec::Executor's
+// CoverBuild → Solve → Assemble stages (src/exec/, docs/query_planning.md);
+// Engine::Run and the serving layer are the in-process and served entry
+// points over that one path. This header keeps only the result type they
+// all return.
 #ifndef NETCLUS_NETCLUS_QUERY_H_
 #define NETCLUS_NETCLUS_QUERY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "netclus/multi_index.h"
-#include "tops/coverage.h"
-#include "tops/fm_greedy.h"
 #include "tops/inc_greedy.h"
-#include "tops/variants.h"
-
-namespace netclus::exec {
-struct ExecContext;
-}  // namespace netclus::exec
 
 namespace netclus::index {
-
-struct QueryConfig {
-  uint32_t k = 5;
-  double tau_m = 800.0;
-  /// FMNETCLUS: FM-greedy on representatives (binary ψ only). FM-greedy has
-  /// no existing-services support, so a query with both falls back to
-  /// Inc-Greedy (with a warning, logged once per engine) rather than
-  /// silently ignoring ES.
-  bool use_fm_sketch = false;
-  uint32_t fm_copies = 30;
-  /// Existing services (Sec. 7.3), as site ids; each is mapped to its
-  /// cluster's representative in the clustered space.
-  std::vector<tops::SiteId> existing_services;
-  /// Worker threads for T̂C construction and the greedy argmax scans
-  /// (0 = NETCLUS_THREADS default). Results are identical at any thread
-  /// count; see docs/parallelism.md.
-  uint32_t threads = 0;
-};
 
 struct QueryResult {
   tops::Selection selection;     ///< sites = real SiteIds (representatives)
@@ -72,52 +42,6 @@ struct QueryResult {
   /// True when this query's T̂C was reused rather than built privately
   /// (batch grouping or a CoverCache hit).
   bool cover_shared = false;
-};
-
-class QueryEngine {
- public:
-  /// Defined in src/exec/query_engine.cc (allocates the per-engine
-  /// execution context: stats registry + warn-once state). Copies of a
-  /// QueryEngine share that context.
-  QueryEngine(const MultiIndex* index, const traj::TrajectoryStore* store,
-              const tops::SiteSet* sites);
-
-  /// Plain TOPS (k, τ, ψ).
-  QueryResult Tops(const tops::PreferenceFunction& psi,
-                   const QueryConfig& config) const;
-
-  /// TOPS-COST in the clustered space: representative costs are the costs
-  /// of the representative sites.
-  QueryResult TopsCost(const tops::PreferenceFunction& psi,
-                       const QueryConfig& config,
-                       const std::vector<double>& site_costs,
-                       double budget) const;
-
-  /// TOPS-CAPACITY in the clustered space.
-  QueryResult TopsCapacity(const tops::PreferenceFunction& psi,
-                           const QueryConfig& config,
-                           const std::vector<double>& site_capacities) const;
-
-  /// Builds the clustered-space coverage (T̂C per representative) for a τ.
-  /// Exposed for tests; `rep_sites` receives the representative SiteId per
-  /// clustered-space index. Each representative's cover is computed
-  /// independently, so `threads` (0 = NETCLUS_THREADS default, like every
-  /// other knob) never changes the result. Shim over exec::BuildCover.
-  tops::CoverageIndex BuildApproxCoverage(double tau_m, size_t instance,
-                                          std::vector<tops::SiteId>* rep_sites,
-                                          double* build_seconds,
-                                          uint32_t threads = 0) const;
-
-  /// The per-engine execution context (stats + warn-once state), for the
-  /// layers that drive the planner/executor directly over this engine's
-  /// parts (src/api, src/serve).
-  exec::ExecContext* exec_context() const { return ctx_.get(); }
-
- private:
-  const MultiIndex* index_;
-  const traj::TrajectoryStore* store_;
-  const tops::SiteSet* sites_;
-  std::shared_ptr<exec::ExecContext> ctx_;
 };
 
 }  // namespace netclus::index

@@ -1,6 +1,5 @@
 #include "serve/cover_cache.h"
 
-#include "util/flags.h"
 #include "util/rng.h"
 
 namespace netclus::serve {
@@ -12,10 +11,6 @@ size_t CoverCache::KeyHash::operator()(const Key& key) const {
 }
 
 CoverCache::CoverCache(Options options) : options_(options) {
-  if (options_.respect_env &&
-      !util::GetEnvBool("NETCLUS_COVER_CACHE", true)) {
-    options_.capacity = 0;
-  }
   if (options_.shards == 0) options_.shards = 1;
   if (options_.capacity > 0 && options_.shards > options_.capacity) {
     options_.shards = options_.capacity;

@@ -15,12 +15,8 @@
 // a thundering herd of identical-τ requests costs a single cover build —
 // the property bench_exec_plans measures. Covers are immutable and
 // refcounted, so an evicted entry stays valid for every query still
-// holding it.
-//
-// The NETCLUS_COVER_CACHE environment knob (default on) disables the
-// cache at construction time when set to 0 — the CI matrix runs the test
-// suite both ways; results are bit-identical because BuildCover is
-// deterministic.
+// holding it. Options::capacity = 0 turns the cache off; results are
+// bit-identical either way because BuildCover is deterministic.
 #ifndef NETCLUS_SERVE_COVER_CACHE_H_
 #define NETCLUS_SERVE_COVER_CACHE_H_
 
@@ -50,9 +46,6 @@ class CoverCache {
     /// (instance, τ) pairs in live traffic are few.
     size_t capacity = 32;
     size_t shards = 8;
-    /// When true (the default), NETCLUS_COVER_CACHE=0 in the environment
-    /// disables the cache regardless of `capacity`.
-    bool respect_env = true;
   };
 
   struct Stats {
@@ -69,8 +62,8 @@ class CoverCache {
   CoverCache(const CoverCache&) = delete;
   CoverCache& operator=(const CoverCache&) = delete;
 
-  /// False when capacity is 0 (or NETCLUS_COVER_CACHE=0): GetOrBuild
-  /// degenerates to calling `build` without counting.
+  /// False when capacity is 0: GetOrBuild degenerates to calling `build`
+  /// without counting.
   bool enabled() const { return per_shard_capacity_ != 0; }
 
   /// Returns the cover for (version, key), building it via `build` (at

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "exec/planner.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -28,12 +27,9 @@ QueryKey CanonicalQueryKey(uint64_t version, const Engine::QuerySpec& spec,
                            size_t instance) {
   QueryKey key;
   key.version = version;
-  // Derive through the same spec → config → request chain the execution
-  // path uses, so key and execution cannot diverge on a field.
-  key.plan = exec::CanonicalPlanKey(
-      exec::RequestFromConfig(exec::QueryVariant::kTops, spec.psi,
-                              spec.ToConfig(/*threads=*/0)),
-      instance);
+  // Derive through the same spec → request mapping the execution path
+  // uses, so key and execution cannot diverge on a field.
+  key.plan = exec::CanonicalPlanKey(spec.ToRequest(/*threads=*/0), instance);
   return key;
 }
 

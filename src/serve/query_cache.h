@@ -65,12 +65,11 @@ struct QueryKeyHash {
 Engine::QuerySpec CanonicalizeSpec(const Engine::QuerySpec& spec);
 
 /// Builds the canonical key for a query against a snapshot version. Takes
-/// the whole spec (not individual fields) so the key and QuerySpec::
-/// ToConfig derive from the same field list: a new result-affecting spec
-/// field added to one but not the other is a single obvious edit site,
-/// not a silent cache collision. `instance` is the resolved resolution
-/// instance (the server takes it from the plan; key-only unit tests may
-/// pass 0).
+/// the whole spec (not individual fields) and maps it through QuerySpec::
+/// ToRequest, the mapping execution plans from, so a new result-affecting
+/// spec field cannot reach the plan without reaching the key. `instance`
+/// is the resolved resolution instance (the server takes it from the
+/// plan; key-only unit tests may pass 0).
 QueryKey CanonicalQueryKey(uint64_t version, const Engine::QuerySpec& spec,
                            size_t instance = 0);
 

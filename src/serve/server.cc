@@ -7,7 +7,6 @@
 #include "exec/planner.h"
 #include "util/flags.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace netclus::serve {
 
@@ -253,8 +252,7 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
   // shed work is the *build*, never a cheap hit, and the response is
   // explicitly flagged stale + shed with the version it came from. This
   // runs even with the cover cache disabled: the *result* cache can
-  // still serve a previous version's answer (NETCLUS_COVER_CACHE=0 used
-  // to silently disable stale serving too).
+  // still serve a previous version's answer.
   const uint64_t max_lag = state->request.staleness.max_version_lag;
   if (max_lag > 0 &&
       scheduler_->QueueDepth(Lane::kHeavy) >= options_.shed_builds_over) {
@@ -416,7 +414,7 @@ void NetClusServer::Complete(const std::shared_ptr<AsyncState>& state,
   }
 }
 
-// --- blocking v1 shims --------------------------------------------------------
+// --- standing-query evaluator ------------------------------------------------
 
 ServeResult NetClusServer::AnswerInline(const Engine::QuerySpec& spec,
                                         const SnapshotPtr& snap) {
@@ -469,30 +467,6 @@ ServeResult NetClusServer::AnswerInline(const Engine::QuerySpec& spec,
   latency_.Record(out.latency_seconds);
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   return out;
-}
-
-ServeResult NetClusServer::Submit(const Engine::QuerySpec& spec) {
-  if (!scheduler_->stopping()) {
-    Request request;
-    request.spec = spec;
-    ServeResult r = SubmitAsync(std::move(request)).get();
-    // A shutdown racing this call falls through to the inline path, so
-    // blocking reads keep their v1 guarantee: they work for the life of
-    // the server object.
-    if (r.status != StatusCode::kShutdown) return r;
-  }
-  return AnswerInline(spec, registry_.Acquire());
-}
-
-std::vector<ServeResult> NetClusServer::SubmitBatch(
-    std::span<const Engine::QuerySpec> specs) {
-  // One snapshot for the whole batch: every answer reflects the same
-  // version even if the pipeline publishes mid-batch. The caller already
-  // batched, so this path bypasses admission and runs inline.
-  const SnapshotPtr snap = registry_.Acquire();
-  return util::ParallelMap<ServeResult>(
-      options_.batch_threads, specs.size(),
-      [&](size_t i) { return AnswerInline(specs[i], snap); }, /*grain=*/1);
 }
 
 // --- writes / lifecycle -------------------------------------------------------

@@ -20,13 +20,9 @@
 // first: when the heavy lane is backed up and the request's staleness
 // policy permits, the server answers from a previous snapshot version via
 // the result/cover caches (flagged `stale` + `shed`) instead of queueing
-// a fresh build; cheap cache hits are never shed.
-//
-// The blocking Submit/SubmitBatch surface remains as thin shims (v1
-// compatibility): Submit is SubmitAsync(...).get() with a synchronous
-// inline fallback once the scheduler has shut down, and SubmitBatch
-// answers inline over one pinned snapshot (a consistent view, bypassing
-// admission — the caller already batched).
+// a fresh build; cheap cache hits are never shed. SubmitAsync is the only
+// read entry point: a caller that wants to block calls .get() on the
+// future.
 //
 // Determinism: every kOk fresh response is bit-identical to a serial
 // replay of the canonical spec on the snapshot version that served it,
@@ -34,10 +30,9 @@
 // bit-identical to the same replay at their (older) served version and
 // are always flagged — never silently wrong.
 //
-// Shutdown() is a graceful drain: in-flight async requests complete, new
+// Shutdown() is a graceful drain: in-flight requests complete, new
 // SubmitAsync calls complete with kShutdown, new mutations are rejected,
-// queued mutations are applied and published, and blocking reads keep
-// working inline against the final snapshot.
+// and queued mutations are applied and published.
 #ifndef NETCLUS_SERVE_SERVER_H_
 #define NETCLUS_SERVE_SERVER_H_
 
@@ -47,7 +42,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "api/engine.h"
@@ -112,8 +106,7 @@ struct Request {
   uint64_t trace_id = 0;
 };
 
-/// One answered (or refused) query, with its serving metadata. This is
-/// both the async Response and the blocking-shim result type.
+/// One answered (or refused) query, with its serving metadata.
 struct ServeResult {
   /// Meaningful only when status == kOk.
   index::QueryResult result;
@@ -132,7 +125,7 @@ struct ServeResult {
   /// The backpressure/admission path refused to do the full fresh work
   /// (kOverloaded / kDeadlineExceeded, or a stale kOk under load).
   bool shed = false;
-  /// Admission-to-first-stage wait (async path; 0 for inline shims).
+  /// Admission-to-first-stage wait.
   double queue_seconds = 0.0;
   double latency_seconds = 0.0;
 };
@@ -140,17 +133,14 @@ struct ServeResult {
 using Response = ServeResult;
 
 struct ServerOptions {
-  /// Worker threads per individual query (QueryConfig::threads; 0 =
+  /// Worker threads per individual query (PlanRequest::threads; 0 =
   /// NETCLUS_THREADS default). Keep at 1 when many clients submit
   /// concurrently — the clients themselves are the parallelism.
   uint32_t query_threads = 1;
-  /// Fan-out for SubmitBatch (0 = NETCLUS_THREADS default), via the PR 1
-  /// thread-pool helpers.
-  uint32_t batch_threads = 0;
   QueryCache::Options cache;
   /// Cross-query T̂C sharing (docs/query_planning.md): queries with the
   /// same (snapshot, instance, τ) reuse one cover build even when k, ψ,
-  /// or ES differ. NETCLUS_COVER_CACHE=0 disables it.
+  /// or ES differ. cover_cache.capacity = 0 disables it.
   CoverCache::Options cover_cache;
   UpdatePipeline::Options updates;
   /// Scheduler pool size (0 = NETCLUS_SCHED_WORKERS, else
@@ -231,7 +221,7 @@ class NetClusServer {
   NetClusServer(const NetClusServer&) = delete;
   NetClusServer& operator=(const NetClusServer&) = delete;
 
-  // --- reads (async v2) ----------------------------------------------------
+  // --- reads ---------------------------------------------------------------
 
   /// Enqueues one request; the returned future resolves when its stages
   /// complete (or it is refused — the Response::status tells). Thread-
@@ -243,17 +233,6 @@ class NetClusServer {
   /// worker (or inline when refused at admission). The callback must not
   /// block for long — it runs on the serving pool.
   void SubmitAsync(Request request, std::function<void(Response)> done);
-
-  // --- reads (blocking v1 shims) -------------------------------------------
-
-  /// Answers one TOPS query on the current snapshot: SubmitAsync + get,
-  /// with a synchronous inline fallback once the scheduler has shut
-  /// down, so reads outlive Shutdown() exactly as in v1. Thread-safe.
-  ServeResult Submit(const Engine::QuerySpec& spec);
-
-  /// Answers a batch concurrently over ONE snapshot (a consistent view for
-  /// the whole batch), in input order, bypassing admission. Thread-safe.
-  std::vector<ServeResult> SubmitBatch(std::span<const Engine::QuerySpec> specs);
 
   // --- writes --------------------------------------------------------------
 
@@ -290,9 +269,9 @@ class NetClusServer {
 
   // --- lifecycle / introspection -------------------------------------------
 
-  /// Graceful drain: in-flight async requests complete, the scheduler
-  /// joins, new mutations are rejected, queued ones are applied and
-  /// published. Blocking reads keep working (inline). Idempotent.
+  /// Graceful drain: in-flight requests complete, the scheduler joins,
+  /// new mutations are rejected, queued ones are applied and published.
+  /// Reads submitted afterwards complete with kShutdown. Idempotent.
   void Shutdown();
 
   /// The current snapshot (never null).
@@ -340,9 +319,10 @@ class NetClusServer {
   /// kOk completions into the latency histogram.
   void Complete(const std::shared_ptr<AsyncState>& state, StatusCode status);
 
-  /// The v1 synchronous path (SubmitBatch and post-shutdown Submit):
-  /// plan, cache, execute inline on `snap`. Maps validation throws to
-  /// kInvalidSpec.
+  /// The standing-query evaluator (registration and publish-time
+  /// re-evaluation, on the caller's or the writer's thread): plan, cache,
+  /// execute inline on `snap`, bypassing admission. Maps validation
+  /// throws to kInvalidSpec.
   ServeResult AnswerInline(const Engine::QuerySpec& spec,
                            const SnapshotPtr& snap);
 

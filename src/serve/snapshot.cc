@@ -15,8 +15,7 @@ IndexSnapshot::IndexSnapshot(uint64_t version,
       network_(std::move(network)),
       store_(std::move(store)),
       sites_(std::move(sites)),
-      index_(std::move(index)),
-      query_(index_.get(), store_.get(), sites_.get()) {
+      index_(std::move(index)) {
   NC_CHECK(network_ != nullptr);
   NC_CHECK(store_ != nullptr);
   NC_CHECK(sites_ != nullptr);

@@ -2,9 +2,8 @@
 //
 // An IndexSnapshot is one immutable, refcounted version of the whole
 // queryable state: the trajectory corpus, the candidate sites, and the
-// multi-resolution NetClus index, plus a QueryEngine wired over exactly
-// those parts. Readers acquire the current snapshot once per query and
-// keep it alive through a shared_ptr, so
+// multi-resolution NetClus index. Readers acquire the current snapshot
+// once per query and keep it alive through a shared_ptr, so
 //  * a query never blocks on a writer and never observes a half-applied
 //    update (the writer mutates private copies, never a published
 //    snapshot), and
@@ -26,7 +25,6 @@
 
 #include "graph/road_network.h"
 #include "netclus/multi_index.h"
-#include "netclus/query.h"
 #include "tops/site_set.h"
 #include "traj/trajectory_store.h"
 #include "util/thread_annotations.h"
@@ -53,11 +51,6 @@ class IndexSnapshot {
   const tops::SiteSet& sites() const { return *sites_; }
   const index::MultiIndex& index() const { return *index_; }
 
-  /// Query engine over this snapshot's parts. Deterministic, so two
-  /// queries with the same config on the same snapshot return identical
-  /// results — the property the serving tests replay against.
-  const index::QueryEngine& query() const { return query_; }
-
   /// The shared_ptr parts, for building the next version without copying
   /// what did not change.
   const std::shared_ptr<const graph::RoadNetwork>& network_ptr() const {
@@ -79,7 +72,6 @@ class IndexSnapshot {
   std::shared_ptr<const traj::TrajectoryStore> store_;
   std::shared_ptr<const tops::SiteSet> sites_;
   std::shared_ptr<const index::MultiIndex> index_;
-  index::QueryEngine query_;
 };
 
 using SnapshotPtr = std::shared_ptr<const IndexSnapshot>;

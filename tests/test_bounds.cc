@@ -12,9 +12,9 @@
 #include <memory>
 #include <sstream>
 
+#include "exec/cover_build.h"
 #include "gtest/gtest.h"
 #include "netclus/multi_index.h"
-#include "netclus/query.h"
 #include "test_helpers.h"
 #include "tops/coverage.h"
 #include "tops/ilp_export.h"
@@ -157,13 +157,11 @@ TEST(Theorem7, AllNodeSitesCoverEveryTrajectoryInClusteredSpace) {
   config.tau_min_m = 400.0;
   config.tau_max_m = 2500.0;
   const index::MultiIndex multi = index::MultiIndex::Build(*store, sites, config);
-  const index::QueryEngine engine(&multi, store.get(), &sites);
   for (const double tau : {400.0, 800.0, 1600.0}) {
     const size_t p = multi.InstanceFor(tau);
     ASSERT_LE(4.0 * multi.instance(p).radius_m(), tau + 1e-9);
-    std::vector<SiteId> reps;
     const CoverageIndex approx =
-        engine.BuildApproxCoverage(tau, p, &reps, nullptr);
+        exec::BuildCover(multi, *store, tau, p, /*threads=*/1).approx;
     // Union of all representative covers = every live trajectory.
     std::vector<bool> covered(store->total_count(), false);
     for (SiteId r = 0; r < approx.num_sites(); ++r) {

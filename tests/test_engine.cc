@@ -35,11 +35,18 @@ Engine MakeEngine(uint32_t dim = 12, uint64_t seed = 91) {
   return engine;
 }
 
+Engine::QuerySpec Spec(uint32_t k, double tau_m) {
+  Engine::QuerySpec spec;
+  spec.k = k;
+  spec.tau_m = tau_m;
+  return spec;
+}
+
 TEST(Engine, FullPipelineProducesResults) {
   Engine engine = MakeEngine();
   engine.BuildIndex();
   ASSERT_TRUE(engine.index_built());
-  const auto result = engine.TopK(5, 600.0, tops::PreferenceFunction::Binary());
+  const auto result = engine.Run(Spec(5, 600.0));
   EXPECT_EQ(result.selection.sites.size(), 5u);
   EXPECT_GT(result.selection.utility, 0.0);
 }
@@ -76,7 +83,7 @@ TEST(Engine, NetClusStaysCloseToExactGreedy) {
   Engine engine = MakeEngine();
   engine.BuildIndex();
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const auto netclus = engine.TopK(5, 600.0, psi);
+  const auto netclus = engine.Run(Spec(5, 600.0));
   const tops::Selection greedy = engine.ExactGreedy(5, 600.0, psi);
   const double netclus_utility =
       engine.EvaluateExact(netclus.selection.sites, 600.0, psi);
@@ -104,19 +111,18 @@ TEST(Engine, DynamicUpdatesKeepIndexConsistent) {
   for (int i = 0; i < 50; ++i) {
     added.push_back(engine.AddTrajectory({0, 1, 2, 12, 13, 14}));
   }
-  const auto result = engine.TopK(1, 600.0, psi);
+  const auto result = engine.Run(Spec(1, 600.0));
   const double utility = engine.EvaluateExact(result.selection.sites, 600.0, psi);
   EXPECT_GT(utility, 50.0 * 0.9);  // the flooded corner dominates
   // Remove them again; utility drops back.
   for (traj::TrajId t : added) engine.RemoveTrajectory(t);
-  const auto after = engine.TopK(1, 600.0, psi);
+  const auto after = engine.Run(Spec(1, 600.0));
   const double after_utility =
       engine.EvaluateExact(after.selection.sites, 600.0, psi);
   EXPECT_LT(after_utility, utility);
 }
 
 TEST(Engine, RemovingUnknownTrajectoryIsADocumentedNoOp) {
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   Engine engine = MakeEngine();
   engine.BuildIndex();
   const size_t live = engine.store().live_count();
@@ -133,8 +139,8 @@ TEST(Engine, RemovingUnknownTrajectoryIsADocumentedNoOp) {
   Engine control = MakeEngine();
   control.BuildIndex();
   control.RemoveTrajectory(0);
-  const auto after = engine.TopK(3, 600.0, psi);
-  const auto expected = control.TopK(3, 600.0, psi);
+  const auto after = engine.Run(Spec(3, 600.0));
+  const auto expected = control.Run(Spec(3, 600.0));
   EXPECT_EQ(after.selection.sites, expected.selection.sites);
   EXPECT_EQ(after.selection.marginal_gains, expected.selection.marginal_gains);
   EXPECT_EQ(after.selection.utility, expected.selection.utility);
@@ -153,34 +159,41 @@ TEST(Engine, SiteUpdatesChangeTheCandidatePool) {
   }
   engine.BuildIndex();
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const auto before = engine.TopK(1, 400.0, psi);
+  const auto before = engine.Run(Spec(1, 400.0));
   const double before_utility =
       engine.EvaluateExact(before.selection.sites, 400.0, psi);
   // Add a site right on the busy corridor.
   const tops::SiteId hot = engine.AddSite(1);
-  const auto after = engine.TopK(1, 400.0, psi);
+  const auto after = engine.Run(Spec(1, 400.0));
   const double after_utility =
       engine.EvaluateExact(after.selection.sites, 400.0, psi);
   EXPECT_GE(after_utility, before_utility);
   EXPECT_EQ(after.selection.sites[0], hot);
   // Removing it restores the old answer.
   engine.RemoveSite(hot);
-  const auto restored = engine.TopK(1, 400.0, psi);
+  const auto restored = engine.Run(Spec(1, 400.0));
   EXPECT_NE(restored.selection.sites[0], hot);
 }
 
 TEST(Engine, CostAndCapacityQueriesWork) {
   Engine engine = MakeEngine();
   engine.BuildIndex();
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const auto costs = tops::DrawNormalCosts(engine.sites().size(), 1.0, 0.3, 0.1, 7);
-  const auto cost_result = engine.TopKWithBudget(3.0, 600.0, psi, costs);
+  Engine::QuerySpec cost = Spec(5, 600.0);
+  cost.variant = exec::QueryVariant::kTopsCost;
+  cost.site_costs =
+      tops::DrawNormalCosts(engine.sites().size(), 1.0, 0.3, 0.1, 7);
+  cost.budget = 3.0;
+  const auto cost_result = engine.Run(cost);
   double spent = 0.0;
-  for (tops::SiteId s : cost_result.selection.sites) spent += costs[s];
+  for (tops::SiteId s : cost_result.selection.sites) {
+    spent += cost.site_costs[s];
+  }
   EXPECT_LE(spent, 3.0 + 1e-9);
 
-  const std::vector<double> caps(engine.sites().size(), 5.0);
-  const auto cap_result = engine.TopKWithCapacity(4, 600.0, psi, caps);
+  Engine::QuerySpec capacity = Spec(4, 600.0);
+  capacity.variant = exec::QueryVariant::kTopsCapacity;
+  capacity.site_capacities.assign(engine.sites().size(), 5.0);
+  const auto cap_result = engine.Run(capacity);
   EXPECT_EQ(cap_result.selection.sites.size(), 4u);
   EXPECT_LE(cap_result.selection.utility, 20.0 + 1e-9);
 }
@@ -188,8 +201,7 @@ TEST(Engine, CostAndCapacityQueriesWork) {
 TEST(Engine, IndexPersistenceRoundTrip) {
   Engine engine = MakeEngine();
   engine.BuildIndex();
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const auto before = engine.TopK(5, 600.0, psi);
+  const auto before = engine.Run(Spec(5, 600.0));
 
   const std::string path = "/tmp/netclus_engine_persist_test.idx";
   std::string error;
@@ -200,7 +212,7 @@ TEST(Engine, IndexPersistenceRoundTrip) {
   ASSERT_FALSE(fresh.index_built());
   ASSERT_TRUE(fresh.LoadIndexFromFile(path, &error)) << error;
   ASSERT_TRUE(fresh.index_built());
-  const auto after = fresh.TopK(5, 600.0, psi);
+  const auto after = fresh.Run(Spec(5, 600.0));
   EXPECT_EQ(before.selection.sites, after.selection.sites);
   EXPECT_DOUBLE_EQ(before.selection.utility, after.selection.utility);
   std::remove(path.c_str());
@@ -252,7 +264,6 @@ Engine MakeEngineWith(Engine::Options options, uint32_t dim = 12,
 // mmap, at 1 or 4 worker threads, under every distance backend — answers
 // TopK and TopKBatch bit-identically to the in-memory index it came from.
 TEST(Engine, SaveLoadBitIdenticalAcrossBackendsThreadsAndModes) {
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   std::vector<Engine::QuerySpec> specs;
   for (uint32_t i = 0; i < 6; ++i) {
     Engine::QuerySpec spec;
@@ -270,7 +281,7 @@ TEST(Engine, SaveLoadBitIdenticalAcrossBackendsThreadsAndModes) {
     base.distance_backend = backend;
     Engine built = MakeEngineWith(base);
     built.BuildIndex();
-    const auto ref_single = built.TopK(5, 700.0, psi);
+    const auto ref_single = built.Run(Spec(5, 700.0));
     const auto ref_batch = built.TopKBatch(specs);
     std::string error;
     ASSERT_TRUE(built.SaveIndexToFile(path, &error)) << error;
@@ -285,7 +296,7 @@ TEST(Engine, SaveLoadBitIdenticalAcrossBackendsThreadsAndModes) {
         Engine fresh = MakeEngineWith(options);
         ASSERT_TRUE(fresh.LoadIndexFromFile(path, &error)) << error;
 
-        const auto single = fresh.TopK(5, 700.0, psi);
+        const auto single = fresh.Run(Spec(5, 700.0));
         EXPECT_EQ(single.selection.sites, ref_single.selection.sites);
         EXPECT_EQ(single.selection.utility, ref_single.selection.utility);
         EXPECT_EQ(single.selection.marginal_gains,
@@ -312,7 +323,6 @@ TEST(Engine, SaveLoadBitIdenticalAcrossBackendsThreadsAndModes) {
 // the same grammar and the pool only changes residency, so any
 // divergence here is a codec or eviction bug.
 TEST(Engine, SaveLoadV3BitIdenticalAcrossSimdKernelsAndPageBudget) {
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   std::vector<Engine::QuerySpec> specs;
   for (uint32_t i = 0; i < 4; ++i) {
     Engine::QuerySpec spec;
@@ -324,7 +334,7 @@ TEST(Engine, SaveLoadV3BitIdenticalAcrossSimdKernelsAndPageBudget) {
   const std::string path = "/tmp/netclus_engine_v3_diff.idx";
   Engine built = MakeEngineWith(Engine::Options());
   built.BuildIndex();
-  const auto ref_single = built.TopK(5, 700.0, psi);
+  const auto ref_single = built.Run(Spec(5, 700.0));
   const auto ref_batch = built.TopKBatch(specs);
   std::string error;
   ASSERT_TRUE(built.SaveIndexToFile(path, &error)) << error;
@@ -355,7 +365,7 @@ TEST(Engine, SaveLoadV3BitIdenticalAcrossSimdKernelsAndPageBudget) {
         Engine fresh = MakeEngineWith(options);
         ASSERT_TRUE(fresh.LoadIndexFromFile(path, &error)) << error;
 
-        const auto single = fresh.TopK(5, 700.0, psi);
+        const auto single = fresh.Run(Spec(5, 700.0));
         EXPECT_EQ(single.selection.sites, ref_single.selection.sites);
         EXPECT_EQ(single.selection.utility, ref_single.selection.utility);
         EXPECT_EQ(single.selection.marginal_gains,

@@ -8,15 +8,15 @@
 // backend, and with cover sharing on or off. `LegacyTops`/`LegacyCost`/
 // `LegacyCapacity` below are line-for-line replicas of the pre-refactor
 // query.cc pipeline built from the still-public pieces
-// (QueryEngine::BuildApproxCoverage + the solver family), so the
-// executor is checked against the original algorithm, not against
-// itself.
+// (exec::BuildCover + the solver family), so the executor is checked
+// against the original algorithm, not against itself.
 //
 // The serving replay tests at the bottom must also be TSan-clean (the CI
 // tsan job runs this file under -fsanitize=thread).
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -70,6 +70,13 @@ Engine MakeEngine(graph::spf::BackendKind backend =
   return engine;
 }
 
+Engine::QuerySpec Spec(uint32_t k, double tau_m) {
+  Engine::QuerySpec spec;
+  spec.k = k;
+  spec.tau_m = tau_m;
+  return spec;
+}
+
 // ---------------------------------------------------------------------------
 // Replicas of the pre-refactor query.cc pipeline (the "legacy path").
 // ---------------------------------------------------------------------------
@@ -89,20 +96,19 @@ index::QueryResult FinishLegacy(const tops::Selection& clustered,
 }
 
 index::QueryResult LegacyTops(const Engine& engine,
-                              const PreferenceFunction& psi,
-                              const index::QueryConfig& config) {
+                              const Engine::QuerySpec& spec,
+                              uint32_t threads) {
   const index::MultiIndex& index = engine.index();
-  const index::QueryEngine query(&index, &engine.store(), &engine.sites());
-  const size_t p = index.InstanceFor(config.tau_m);
-  std::vector<SiteId> rep_sites;
-  const tops::CoverageIndex approx = query.BuildApproxCoverage(
-      config.tau_m, p, &rep_sites, nullptr, config.threads);
+  const size_t p = index.InstanceFor(spec.tau_m);
+  const exec::BuiltCover cover =
+      exec::BuildCover(index, engine.store(), spec.tau_m, p, threads);
+  const std::vector<SiteId>& rep_sites = cover.rep_sites;
 
   std::unordered_map<SiteId, SiteId> rep_index_of;
   for (SiteId i = 0; i < rep_sites.size(); ++i) rep_index_of[rep_sites[i]] = i;
   const index::ClusterIndex& instance = index.instance(p);
   std::vector<SiteId> existing_reps;
-  for (SiteId es : config.existing_services) {
+  for (SiteId es : spec.existing_services) {
     const uint32_t g = instance.cluster_of(engine.sites().node(es));
     const SiteId rep = instance.cluster(g).representative;
     if (rep == tops::kInvalidSite) continue;
@@ -111,59 +117,52 @@ index::QueryResult LegacyTops(const Engine& engine,
   }
 
   tops::Selection clustered;
-  if (config.use_fm_sketch && psi.is_binary() && existing_reps.empty()) {
+  if (spec.use_fm && spec.psi.is_binary() && existing_reps.empty()) {
     tops::FmGreedyConfig fm_config;
-    fm_config.k = config.k;
-    fm_config.num_sketches = config.fm_copies;
-    clustered = FmGreedy(approx, fm_config).selection;
+    fm_config.k = spec.k;
+    fm_config.num_sketches = exec::PlanRequest().fm_copies;
+    clustered = FmGreedy(cover.approx, fm_config).selection;
   } else {
     tops::GreedyConfig greedy_config;
-    greedy_config.k = config.k;
+    greedy_config.k = spec.k;
     greedy_config.existing_services = existing_reps;
-    greedy_config.threads = config.threads;
-    clustered = IncGreedy(approx, psi, greedy_config);
+    greedy_config.threads = threads;
+    clustered = IncGreedy(cover.approx, spec.psi, greedy_config);
   }
   return FinishLegacy(clustered, rep_sites, p);
 }
 
 index::QueryResult LegacyCost(const Engine& engine,
-                              const PreferenceFunction& psi,
-                              const index::QueryConfig& config,
-                              const std::vector<double>& site_costs,
-                              double budget) {
+                              const Engine::QuerySpec& spec,
+                              uint32_t threads) {
   const index::MultiIndex& index = engine.index();
-  const index::QueryEngine query(&index, &engine.store(), &engine.sites());
-  const size_t p = index.InstanceFor(config.tau_m);
-  std::vector<SiteId> rep_sites;
-  const tops::CoverageIndex approx = query.BuildApproxCoverage(
-      config.tau_m, p, &rep_sites, nullptr, config.threads);
+  const size_t p = index.InstanceFor(spec.tau_m);
+  const exec::BuiltCover cover =
+      exec::BuildCover(index, engine.store(), spec.tau_m, p, threads);
   tops::CostConfig cost_config;
-  cost_config.budget = budget;
-  for (SiteId site : rep_sites) {
-    cost_config.site_costs.push_back(site_costs[site]);
+  cost_config.budget = spec.budget;
+  for (SiteId site : cover.rep_sites) {
+    cost_config.site_costs.push_back(spec.site_costs[site]);
   }
-  const tops::CostResult cost = CostGreedy(approx, psi, cost_config);
-  return FinishLegacy(cost.selection, rep_sites, p);
+  const tops::CostResult cost = CostGreedy(cover.approx, spec.psi, cost_config);
+  return FinishLegacy(cost.selection, cover.rep_sites, p);
 }
 
 index::QueryResult LegacyCapacity(const Engine& engine,
-                                  const PreferenceFunction& psi,
-                                  const index::QueryConfig& config,
-                                  const std::vector<double>& capacities) {
+                                  const Engine::QuerySpec& spec,
+                                  uint32_t threads) {
   const index::MultiIndex& index = engine.index();
-  const index::QueryEngine query(&index, &engine.store(), &engine.sites());
-  const size_t p = index.InstanceFor(config.tau_m);
-  std::vector<SiteId> rep_sites;
-  const tops::CoverageIndex approx = query.BuildApproxCoverage(
-      config.tau_m, p, &rep_sites, nullptr, config.threads);
+  const size_t p = index.InstanceFor(spec.tau_m);
+  const exec::BuiltCover cover =
+      exec::BuildCover(index, engine.store(), spec.tau_m, p, threads);
   tops::CapacityConfig capacity_config;
-  capacity_config.k = config.k;
-  for (SiteId site : rep_sites) {
-    capacity_config.site_capacities.push_back(capacities[site]);
+  capacity_config.k = spec.k;
+  for (SiteId site : cover.rep_sites) {
+    capacity_config.site_capacities.push_back(spec.site_capacities[site]);
   }
   const tops::CapacityResult capacity =
-      CapacityGreedy(approx, psi, capacity_config);
-  return FinishLegacy(capacity.selection, rep_sites, p);
+      CapacityGreedy(cover.approx, spec.psi, capacity_config);
+  return FinishLegacy(capacity.selection, cover.rep_sites, p);
 }
 
 void ExpectBitIdentical(const index::QueryResult& expected,
@@ -192,14 +191,10 @@ TEST(Exec, ExecutorMatchesLegacyAcrossVariantsThreadsAndBackends) {
       SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)) +
                    " threads " + std::to_string(threads));
       const Engine engine = MakeEngine(backend, threads);
-      const std::vector<double> costs =
-          tops::DrawNormalCosts(engine.sites().size(), 1.0, 0.4, 0.1, 63);
-      const std::vector<double> caps(engine.sites().size(), 8.0);
 
       // A reusable ES set: the plain answer's sites, reversed so the
       // caller order is deliberately non-canonical.
-      std::vector<SiteId> es =
-          engine.TopK(3, 800.0, PreferenceFunction::Binary()).selection.sites;
+      std::vector<SiteId> es = engine.Run(Spec(3, 800.0)).selection.sites;
       std::reverse(es.begin(), es.end());
 
       struct Case {
@@ -223,31 +218,26 @@ TEST(Exec, ExecutorMatchesLegacyAcrossVariantsThreadsAndBackends) {
           {"fm-es-fallback", PreferenceFunction::Binary(), 3, 900.0, true, es},
       };
       for (const Case& c : cases) {
-        index::QueryConfig config;
-        config.k = c.k;
-        config.tau_m = c.tau;
-        config.use_fm_sketch = c.use_fm;
-        config.existing_services = c.es;
-        config.threads = threads;
-        ExpectBitIdentical(LegacyTops(engine, c.psi, config),
-                           engine.TopK(c.k, c.tau, c.psi, c.use_fm, c.es),
+        Engine::QuerySpec spec = Spec(c.k, c.tau);
+        spec.psi = c.psi;
+        spec.use_fm = c.use_fm;
+        spec.existing_services = c.es;
+        ExpectBitIdentical(LegacyTops(engine, spec, threads), engine.Run(spec),
                            c.name);
       }
 
-      index::QueryConfig vconfig;
-      vconfig.tau_m = 800.0;
-      vconfig.threads = threads;
-      ExpectBitIdentical(
-          LegacyCost(engine, PreferenceFunction::Binary(), vconfig, costs, 4.0),
-          engine.TopKWithBudget(4.0, 800.0, PreferenceFunction::Binary(),
-                                costs),
-          "cost");
-      vconfig.k = 4;
-      ExpectBitIdentical(
-          LegacyCapacity(engine, PreferenceFunction::Binary(), vconfig, caps),
-          engine.TopKWithCapacity(4, 800.0, PreferenceFunction::Binary(),
-                                  caps),
-          "capacity");
+      Engine::QuerySpec cost = Spec(5, 800.0);
+      cost.variant = exec::QueryVariant::kTopsCost;
+      cost.site_costs =
+          tops::DrawNormalCosts(engine.sites().size(), 1.0, 0.4, 0.1, 63);
+      cost.budget = 4.0;
+      ExpectBitIdentical(LegacyCost(engine, cost, threads), engine.Run(cost),
+                         "cost");
+      Engine::QuerySpec capacity = Spec(4, 800.0);
+      capacity.variant = exec::QueryVariant::kTopsCapacity;
+      capacity.site_capacities.assign(engine.sites().size(), 8.0);
+      ExpectBitIdentical(LegacyCapacity(engine, capacity, threads),
+                         engine.Run(capacity), "capacity");
     }
   }
 }
@@ -274,22 +264,46 @@ TEST(Exec, TopKBatchSharesCoversAndMatchesSequentialTopK) {
   for (const uint32_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     const Engine engine = MakeEngine(graph::spf::BackendKind::kDefault, threads);
-    const std::vector<Engine::QuerySpec> specs = DuplicateTauBatch(32);
+    const size_t num_sites = engine.sites().size();
+    std::vector<Engine::QuerySpec> specs = DuplicateTauBatch(32);
+    // A cost and a capacity spec share a fifth τ: the batch must plan
+    // each by its own variant, not as plain TOPS.
+    Engine::QuerySpec cost = Spec(5, 1000.0);
+    cost.variant = exec::QueryVariant::kTopsCost;
+    cost.site_costs.assign(num_sites, 1.0);
+    cost.budget = 3.0;
+    specs.push_back(cost);
+    Engine::QuerySpec capacity = Spec(5, 1000.0);
+    capacity.variant = exec::QueryVariant::kTopsCapacity;
+    capacity.site_capacities.assign(num_sites, 2.0);
+    specs.push_back(capacity);
 
     const auto before = engine.ExecStats();
     const std::vector<index::QueryResult> batch = engine.TopKBatch(specs);
     const auto after = engine.ExecStats();
     ASSERT_EQ(batch.size(), specs.size());
 
-    // Exactly one cover build per distinct τ (all four map to distinct
+    // Exactly one cover build per distinct τ (all five map to distinct
     // (instance, τ) keys here), every other query shared.
-    EXPECT_EQ(after.covers_built - before.covers_built, 4u);
-    EXPECT_EQ(after.covers_shared - before.covers_shared, specs.size() - 4);
+    EXPECT_EQ(after.covers_built - before.covers_built, 5u);
+    EXPECT_EQ(after.covers_shared - before.covers_shared, specs.size() - 5);
 
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const index::QueryResult single = engine.TopK(
-          specs[i].k, specs[i].tau_m, specs[i].psi, specs[i].use_fm,
-          specs[i].existing_services);
+    for (size_t i = 32; i < specs.size(); ++i) {
+      const index::QueryResult single = engine.Run(specs[i]);
+      ExpectBitIdentical(single, batch[i], "variant spec " + std::to_string(i));
+      EXPECT_TRUE(batch[i].cover_shared);
+      EXPECT_EQ(batch[i].transient_bytes, single.transient_bytes / 2);
+    }
+
+    // A malformed payload fails the whole batch, as it fails Run.
+    Engine::QuerySpec malformed = cost;
+    malformed.site_costs = {1.0, 1.0, 1.0};
+    const std::vector<Engine::QuerySpec> bad = {specs[0], malformed};
+    EXPECT_THROW(engine.Run(malformed), std::invalid_argument);
+    EXPECT_THROW(engine.TopKBatch(bad), std::invalid_argument);
+
+    for (size_t i = 0; i < 32; ++i) {
+      const index::QueryResult single = engine.Run(specs[i]);
       ExpectBitIdentical(single, batch[i], "spec " + std::to_string(i));
       // Attribution: each of the 8 sharers of a τ reports 1/8 of the
       // transient bytes a private build would have charged, and flags the
@@ -312,8 +326,7 @@ TEST(Exec, TopKBatchSharesCoversAndMatchesSequentialTopK) {
 
 TEST(Exec, SingleQueryAttributionIsUnshared) {
   const Engine engine = MakeEngine();
-  const index::QueryResult result =
-      engine.TopK(5, 800.0, PreferenceFunction::Binary());
+  const index::QueryResult result = engine.Run(Spec(5, 800.0));
   EXPECT_FALSE(result.cover_shared);
   EXPECT_GT(result.transient_bytes, 0u);
   EXPECT_GT(result.cover_build_seconds, 0.0);
@@ -427,14 +440,14 @@ TEST(Exec, PlannerResolvesInstanceSolverAndFallback) {
 
 TEST(Exec, FmFallbackRespectsExistingServices) {
   const Engine engine = MakeEngine();
-  const std::vector<SiteId> es =
-      engine.TopK(2, 800.0, PreferenceFunction::Binary()).selection.sites;
+  const std::vector<SiteId> es = engine.Run(Spec(2, 800.0)).selection.sites;
   // FM + ES falls back to Inc-Greedy, so the answer equals the non-FM
   // query (and never re-selects the existing services).
-  const index::QueryResult with_fm =
-      engine.TopK(3, 800.0, PreferenceFunction::Binary(), /*use_fm=*/true, es);
-  const index::QueryResult without_fm =
-      engine.TopK(3, 800.0, PreferenceFunction::Binary(), /*use_fm=*/false, es);
+  Engine::QuerySpec spec = Spec(3, 800.0);
+  spec.existing_services = es;
+  const index::QueryResult without_fm = engine.Run(spec);
+  spec.use_fm = true;
+  const index::QueryResult with_fm = engine.Run(spec);
   ExpectBitIdentical(without_fm, with_fm, "fallback equals inc-greedy");
   for (SiteId s : with_fm.selection.sites) {
     EXPECT_EQ(std::find(es.begin(), es.end(), s), es.end());
@@ -444,8 +457,8 @@ TEST(Exec, FmFallbackRespectsExistingServices) {
 
 TEST(Exec, StatsRegistryAccumulatesStagesAndInstances) {
   const Engine engine = MakeEngine();
-  (void)engine.TopK(5, 600.0, PreferenceFunction::Binary());
-  (void)engine.TopK(5, 1500.0, PreferenceFunction::Binary());
+  (void)engine.Run(Spec(5, 600.0));
+  (void)engine.Run(Spec(5, 1500.0));
   const exec::StatsRegistry::Snapshot stats = engine.ExecStats();
   EXPECT_EQ(stats.plan.count, 2u);
   EXPECT_EQ(stats.cover_build.count, 2u);
@@ -616,7 +629,6 @@ TEST(CoverBuild, MatchesSerialReferenceAtEveryThreadCountAfterUpdates) {
 TEST(CoverCache, BuildsOncePerKeyAcrossConcurrentCallers) {
   serve::CoverCache::Options options;
   options.capacity = 8;
-  options.respect_env = false;  // the test must not depend on the CI matrix
   serve::CoverCache cache(options);
   ASSERT_TRUE(cache.enabled());
 
@@ -661,7 +673,6 @@ TEST(CoverCache, VersionIsPartOfTheKeyAndLruEvicts) {
   serve::CoverCache::Options options;
   options.capacity = 2;
   options.shards = 1;
-  options.respect_env = false;
   serve::CoverCache cache(options);
   const Engine engine = MakeEngine();
   int builds = 0;
@@ -689,7 +700,6 @@ TEST(CoverCache, VersionIsPartOfTheKeyAndLruEvicts) {
 TEST(CoverCache, DisabledCacheDegeneratesToPlainBuilds) {
   serve::CoverCache::Options options;
   options.capacity = 0;
-  options.respect_env = false;
   serve::CoverCache cache(options);
   EXPECT_FALSE(cache.enabled());
   int builds = 0;
@@ -712,24 +722,22 @@ TEST(CoverCache, DisabledCacheDegeneratesToPlainBuilds) {
 
 index::QueryResult ServeReplay(const serve::ServeResult& served,
                                const Engine::QuerySpec& spec) {
-  const Engine::QuerySpec canon = serve::CanonicalizeSpec(spec);
-  return served.snapshot->query().Tops(canon.psi, canon.ToConfig(1));
+  const serve::IndexSnapshot& snap = *served.snapshot;
+  return test::RunOnIndex(snap.index(), snap.store(), snap.sites(),
+                          serve::CanonicalizeSpec(spec));
 }
 
 TEST(Serving, CoverCacheOnOffIsBitIdentical) {
   const Engine engine = MakeEngine();
-  serve::ServerOptions with;
-  with.cover_cache.respect_env = false;  // force ON regardless of CI matrix
   serve::ServerOptions without;
   without.cover_cache.capacity = 0;
-  without.cover_cache.respect_env = false;
-  auto on = engine.Serve(with);
+  auto on = engine.Serve();
   auto off = engine.Serve(without);
 
   const std::vector<Engine::QuerySpec> specs = DuplicateTauBatch(24);
   for (const Engine::QuerySpec& spec : specs) {
-    const serve::ServeResult a = on->Submit(spec);
-    const serve::ServeResult b = off->Submit(spec);
+    const serve::ServeResult a = test::Submit(*on, spec);
+    const serve::ServeResult b = test::Submit(*off, spec);
     ExpectBitIdentical(b.result, a.result, "cover cache on/off");
   }
   // The duplicate-τ stream reused covers on the enabled server only.
@@ -742,7 +750,6 @@ TEST(Serving, CoverCacheOnOffIsBitIdentical) {
 TEST(Serving, ConcurrentDuplicateTauTrafficSharesCoversAndReplays) {
   const Engine engine = MakeEngine();
   serve::ServerOptions options;
-  options.cover_cache.respect_env = false;
   options.updates.max_batch = 16;
   auto server = engine.Serve(options);
 
@@ -759,7 +766,7 @@ TEST(Serving, ConcurrentDuplicateTauTrafficSharesCoversAndReplays) {
       for (int q = 0; q < kQueriesPerReader; ++q) {
         const size_t spec_index = (r * 3 + q) % specs.size();
         recorded[r].emplace_back(spec_index,
-                                 server->Submit(specs[spec_index]));
+                                 test::Submit(*server, specs[spec_index]));
       }
     });
   }
@@ -793,21 +800,20 @@ TEST(Serving, ConcurrentDuplicateTauTrafficSharesCoversAndReplays) {
 TEST(Serving, PermutedExistingServicesHitTheResultCache) {
   const Engine engine = MakeEngine();
   auto server = engine.Serve();
-  const std::vector<SiteId> es =
-      engine.TopK(3, 800.0, PreferenceFunction::Binary()).selection.sites;
+  const std::vector<SiteId> es = engine.Run(Spec(3, 800.0)).selection.sites;
   ASSERT_GE(es.size(), 3u);
 
   Engine::QuerySpec spec;
   spec.k = 4;
   spec.tau_m = 800.0;
   spec.existing_services = es;
-  const serve::ServeResult first = server->Submit(spec);
+  const serve::ServeResult first = test::Submit(*server, spec);
   EXPECT_FALSE(first.cache_hit);
 
   // Permute + duplicate the ES list: same canonical query, so the result
   // cache must hit with the bit-identical answer.
   spec.existing_services = {es[2], es[0], es[1], es[0]};
-  const serve::ServeResult second = server->Submit(spec);
+  const serve::ServeResult second = test::Submit(*server, spec);
   EXPECT_TRUE(second.cache_hit);
   ExpectBitIdentical(first.result, second.result, "permuted ES cache hit");
 
@@ -818,9 +824,9 @@ TEST(Serving, PermutedExistingServicesHitTheResultCache) {
   linear.psi = PreferenceFunction::Linear();
   Engine::QuerySpec convex1 = linear;
   convex1.psi = PreferenceFunction::ConvexProbability(1.0);
-  const serve::ServeResult lin = server->Submit(linear);
+  const serve::ServeResult lin = test::Submit(*server, linear);
   EXPECT_FALSE(lin.cache_hit);
-  const serve::ServeResult cvx = server->Submit(convex1);
+  const serve::ServeResult cvx = test::Submit(*server, convex1);
   EXPECT_TRUE(cvx.cache_hit);
   ExpectBitIdentical(lin.result, cvx.result, "psi normalization cache hit");
 }

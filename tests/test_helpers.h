@@ -8,8 +8,14 @@
 #include <utility>
 #include <vector>
 
+#include "api/engine.h"
+#include "exec/executor.h"
+#include "exec/planner.h"
 #include "graph/generators.h"
 #include "graph/road_network.h"
+#include "netclus/multi_index.h"
+#include "netclus/query.h"
+#include "serve/server.h"
 #include "tops/coverage.h"
 #include "tops/site_set.h"
 #include "traj/trajectory_store.h"
@@ -251,6 +257,30 @@ inline std::vector<std::pair<graph::NodeId, graph::NodeId>> MakeQueryPairs(
         static_cast<graph::NodeId>(rng.UniformInt(net.num_nodes())));
   }
   return pairs;
+}
+
+/// Answers `spec` over bare index parts the way a serial replay does: a
+/// fresh ExecContext, one Planner pass over spec.ToRequest(threads), one
+/// Executor pass. The bare-index query of the index tests and the oracle
+/// the serving tests replay served answers against (pass the canonical
+/// spec, serve::CanonicalizeSpec, to match what the server executes).
+inline index::QueryResult RunOnIndex(const index::MultiIndex& index,
+                                     const traj::TrajectoryStore& store,
+                                     const tops::SiteSet& sites,
+                                     const Engine::QuerySpec& spec,
+                                     uint32_t threads = 1) {
+  exec::ExecContext ctx;
+  const exec::QueryPlan plan = exec::Planner(&ctx).Plan(
+      spec.ToRequest(threads), index, /*batch_size=*/1);
+  return exec::Executor(&index, &store, &sites, &ctx).Execute(plan);
+}
+
+/// One blocking read through the server's only read entry point.
+inline serve::ServeResult Submit(serve::NetClusServer& server,
+                                 const Engine::QuerySpec& spec) {
+  serve::Request request;
+  request.spec = spec;
+  return server.SubmitAsync(std::move(request)).get();
 }
 
 /// Fills `store` with random-walk trajectories over its network.

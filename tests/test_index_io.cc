@@ -97,15 +97,12 @@ void ExpectIndexesEquivalent(const MultiIndex& a, const MultiIndex& b) {
 // Bit-identical TopK answers from two indexes over the same corpus.
 void ExpectSameTopK(const MultiIndex& a, const MultiIndex& b,
                     const Fixture& f) {
-  const QueryEngine ea(&a, f.store.get(), &f.sites);
-  const QueryEngine eb(&b, f.store.get(), &f.sites);
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   for (const double tau : {400.0, 800.0, 1600.0}) {
-    QueryConfig config;
-    config.k = 4;
-    config.tau_m = tau;
-    const QueryResult x = ea.Tops(psi, config);
-    const QueryResult y = eb.Tops(psi, config);
+    Engine::QuerySpec spec;
+    spec.k = 4;
+    spec.tau_m = tau;
+    const QueryResult x = test::RunOnIndex(a, *f.store, f.sites, spec);
+    const QueryResult y = test::RunOnIndex(b, *f.store, f.sites, spec);
     EXPECT_EQ(x.selection.sites, y.selection.sites) << "tau " << tau;
     EXPECT_EQ(x.selection.utility, y.selection.utility) << "tau " << tau;
     EXPECT_EQ(x.selection.marginal_gains, y.selection.marginal_gains);
@@ -257,15 +254,12 @@ TEST(IndexIo, RoundTripAfterDynamicUpdatesPreservesTopK) {
   EXPECT_EQ(EncodeIndex(loaded, nullptr), image);
 
   // Identical TopK on the updated original and the loaded copy.
-  const QueryEngine original(&index, store.get(), &sites);
-  const QueryEngine reloaded(&loaded, store.get(), &sites);
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   for (const double tau : {500.0, 900.0, 1500.0}) {
-    QueryConfig qc;
-    qc.k = 5;
-    qc.tau_m = tau;
-    const QueryResult a = original.Tops(psi, qc);
-    const QueryResult b = reloaded.Tops(psi, qc);
+    Engine::QuerySpec spec;
+    spec.k = 5;
+    spec.tau_m = tau;
+    const QueryResult a = test::RunOnIndex(index, *store, sites, spec);
+    const QueryResult b = test::RunOnIndex(loaded, *store, sites, spec);
     EXPECT_EQ(a.selection.sites, b.selection.sites) << "tau " << tau;
     EXPECT_EQ(a.selection.utility, b.selection.utility) << "tau " << tau;
     EXPECT_EQ(a.selection.marginal_gains, b.selection.marginal_gains);

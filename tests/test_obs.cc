@@ -399,7 +399,8 @@ TEST(ServerObs, SlowQueryThresholdGatesTheLog) {
     serve::ServerOptions options;
     options.slow_query_ms = 0.0;
     auto server = engine.Serve(options);
-    ASSERT_EQ(server->Submit(Spec(3, 800.0)).status, serve::StatusCode::kOk);
+    ASSERT_EQ(test::Submit(*server, Spec(3, 800.0)).status,
+              serve::StatusCode::kOk);
     server->Shutdown();
     EXPECT_EQ(count_slow(), 0u);
   }
@@ -409,7 +410,8 @@ TEST(ServerObs, SlowQueryThresholdGatesTheLog) {
     serve::ServerOptions options;
     options.slow_query_ms = 0.0001;
     auto server = engine.Serve(options);
-    ASSERT_EQ(server->Submit(Spec(3, 800.0)).status, serve::StatusCode::kOk);
+    ASSERT_EQ(test::Submit(*server, Spec(3, 800.0)).status,
+              serve::StatusCode::kOk);
     server->Shutdown();
     EXPECT_GE(count_slow(), 1u);
     const std::lock_guard<std::mutex> lock(mu);

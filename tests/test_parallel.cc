@@ -296,7 +296,7 @@ TEST(Determinism, TopKBatchMatchesSequentialTopK) {
   const auto batch = engine.TopKBatch(specs);
   ASSERT_EQ(batch.size(), specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    const auto single = engine.TopK(specs[i].k, specs[i].tau_m, specs[i].psi);
+    const auto single = engine.Run(specs[i]);
     EXPECT_EQ(batch[i].selection.sites, single.selection.sites) << "query " << i;
     EXPECT_EQ(batch[i].selection.utility, single.selection.utility);
   }

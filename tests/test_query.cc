@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <set>
 
+#include "exec/cover_build.h"
 #include "gtest/gtest.h"
 #include "netclus/multi_index.h"
 #include "netclus/query.h"
@@ -30,17 +31,27 @@ struct Fixture {
         MultiIndex::Build(*store, sites, config));
   }
 
-  QueryEngine engine() const { return QueryEngine(index.get(), store.get(), &sites); }
+  QueryResult Run(const Engine::QuerySpec& spec) const {
+    return test::RunOnIndex(*index, *store, sites, spec);
+  }
 };
+
+Engine::QuerySpec Spec(uint32_t k, double tau_m) {
+  Engine::QuerySpec spec;
+  spec.k = k;
+  spec.tau_m = tau_m;
+  return spec;
+}
 
 TEST(Query, ApproxCoversAreSubsetsOfExactCovers) {
   // T̂C(r) ⊆ TC(r) because d̂_r >= d_r (Sec. 5.1).
   Fixture f;
   const double tau = 800.0;
   const size_t p = f.index->InstanceFor(tau);
-  std::vector<tops::SiteId> rep_sites;
-  const tops::CoverageIndex approx =
-      f.engine().BuildApproxCoverage(tau, p, &rep_sites, nullptr);
+  const exec::BuiltCover cover =
+      exec::BuildCover(*f.index, *f.store, tau, p, /*threads=*/1);
+  const tops::CoverageIndex& approx = cover.approx;
+  const std::vector<tops::SiteId>& rep_sites = cover.rep_sites;
 
   tops::CoverageConfig cc;
   cc.tau_m = tau;
@@ -73,11 +84,7 @@ TEST(Query, ApproxCoversAreSubsetsOfExactCovers) {
 
 TEST(Query, ReturnsKDistinctRealSites) {
   Fixture f;
-  QueryEngine engine = f.engine();
-  QueryConfig config;
-  config.k = 6;
-  config.tau_m = 800.0;
-  const QueryResult got = engine.Tops(tops::PreferenceFunction::Binary(), config);
+  const QueryResult got = f.Run(Spec(6, 800.0));
   EXPECT_EQ(got.selection.sites.size(), 6u);
   std::set<tops::SiteId> unique(got.selection.sites.begin(),
                                 got.selection.sites.end());
@@ -93,12 +100,8 @@ TEST(Query, UtilityWithinFractionOfExactGreedy) {
   // On small synthetic instances we assert a loose 60% to stay robust.
   Fixture f;
   const double tau = 800.0;
-  QueryEngine engine = f.engine();
-  QueryConfig config;
-  config.k = 5;
-  config.tau_m = tau;
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const QueryResult netclus = engine.Tops(psi, config);
+  const QueryResult netclus = f.Run(Spec(5, tau));
   const double netclus_exact_utility = tops::CoverageIndex::EvaluateSelection(
       *f.store, f.sites, netclus.selection.sites, tau, psi);
 
@@ -118,14 +121,10 @@ TEST(Query, UtilityWithinFractionOfExactGreedy) {
 
 TEST(Query, WorksAcrossTauSweep) {
   Fixture f;
-  QueryEngine engine = f.engine();
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
   double prev_utility = 0.0;
   for (const double tau : {300.0, 600.0, 1200.0, 2400.0}) {
-    QueryConfig config;
-    config.k = 5;
-    config.tau_m = tau;
-    const QueryResult got = engine.Tops(psi, config);
+    const QueryResult got = f.Run(Spec(5, tau));
     EXPECT_EQ(got.selection.sites.size(), 5u) << "tau " << tau;
     // Larger tau covers at least as much (checked on exact re-evaluation).
     const double exact = tops::CoverageIndex::EvaluateSelection(
@@ -137,31 +136,21 @@ TEST(Query, WorksAcrossTauSweep) {
 
 TEST(Query, CoarserInstancesForLargerTau) {
   Fixture f;
-  QueryEngine engine = f.engine();
-  QueryConfig small;
-  small.k = 3;
-  small.tau_m = 320.0;
-  QueryConfig large = small;
-  large.tau_m = 3000.0;
-  const auto got_small = engine.Tops(tops::PreferenceFunction::Binary(), small);
-  const auto got_large = engine.Tops(tops::PreferenceFunction::Binary(), large);
+  const auto got_small = f.Run(Spec(3, 320.0));
+  const auto got_large = f.Run(Spec(3, 3000.0));
   EXPECT_LT(got_small.instance_used, got_large.instance_used);
   EXPECT_GE(got_small.clusters_considered, got_large.clusters_considered);
 }
 
 TEST(Query, FmVariantSelectsReasonableSites) {
   Fixture f;
-  QueryEngine engine = f.engine();
-  QueryConfig config;
-  config.k = 5;
-  config.tau_m = 800.0;
-  config.use_fm_sketch = true;
-  config.fm_copies = 30;
+  Engine::QuerySpec spec = Spec(5, 800.0);
+  spec.use_fm = true;
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const QueryResult fm = engine.Tops(psi, config);
+  const QueryResult fm = f.Run(spec);
   EXPECT_EQ(fm.selection.sites.size(), 5u);
-  config.use_fm_sketch = false;
-  const QueryResult exact = engine.Tops(psi, config);
+  spec.use_fm = false;
+  const QueryResult exact = f.Run(spec);
   const double fm_utility = tops::CoverageIndex::EvaluateSelection(
       *f.store, f.sites, fm.selection.sites, 800.0, psi);
   const double exact_utility = tops::CoverageIndex::EvaluateSelection(
@@ -171,16 +160,12 @@ TEST(Query, FmVariantSelectsReasonableSites) {
 
 TEST(Query, ExistingServicesShiftSelection) {
   Fixture f;
-  QueryEngine engine = f.engine();
-  QueryConfig config;
-  config.k = 3;
-  config.tau_m = 800.0;
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const QueryResult plain = engine.Tops(psi, config);
+  Engine::QuerySpec spec = Spec(3, 800.0);
+  const QueryResult plain = f.Run(spec);
   // Install the plain answer as existing services; the next query must not
   // re-select them.
-  config.existing_services = plain.selection.sites;
-  const QueryResult next = engine.Tops(psi, config);
+  spec.existing_services = plain.selection.sites;
+  const QueryResult next = f.Run(spec);
   for (tops::SiteId s : next.selection.sites) {
     EXPECT_EQ(std::find(plain.selection.sites.begin(), plain.selection.sites.end(),
                         s),
@@ -190,28 +175,24 @@ TEST(Query, ExistingServicesShiftSelection) {
 
 TEST(Query, CostVariantStaysInBudget) {
   Fixture f;
-  QueryEngine engine = f.engine();
-  QueryConfig config;
-  config.tau_m = 800.0;
-  const std::vector<double> costs =
-      tops::DrawNormalCosts(f.sites.size(), 1.0, 0.4, 0.1, 63);
-  const QueryResult got =
-      engine.TopsCost(tops::PreferenceFunction::Binary(), config, costs, 4.0);
+  Engine::QuerySpec spec;
+  spec.variant = exec::QueryVariant::kTopsCost;
+  spec.tau_m = 800.0;
+  spec.site_costs = tops::DrawNormalCosts(f.sites.size(), 1.0, 0.4, 0.1, 63);
+  spec.budget = 4.0;
+  const QueryResult got = f.Run(spec);
   double total = 0.0;
-  for (tops::SiteId s : got.selection.sites) total += costs[s];
+  for (tops::SiteId s : got.selection.sites) total += spec.site_costs[s];
   EXPECT_LE(total, 4.0 + 1e-9);
   EXPECT_GT(got.selection.utility, 0.0);
 }
 
 TEST(Query, CapacityVariantRespectsK) {
   Fixture f;
-  QueryEngine engine = f.engine();
-  QueryConfig config;
-  config.k = 4;
-  config.tau_m = 800.0;
-  const std::vector<double> caps(f.sites.size(), 10.0);
-  const QueryResult got =
-      engine.TopsCapacity(tops::PreferenceFunction::Binary(), config, caps);
+  Engine::QuerySpec spec = Spec(4, 800.0);
+  spec.variant = exec::QueryVariant::kTopsCapacity;
+  spec.site_capacities.assign(f.sites.size(), 10.0);
+  const QueryResult got = f.Run(spec);
   EXPECT_EQ(got.selection.sites.size(), 4u);
   EXPECT_LE(got.selection.utility, 4.0 * 10.0 + 1e-9);
 }
@@ -219,17 +200,13 @@ TEST(Query, CapacityVariantRespectsK) {
 TEST(Query, DynamicTrajectoryUpdatesChangeAnswers) {
   Fixture f(71, 10, 30);
   // Flood one corner with new trajectories; the answer should move there.
-  QueryEngine engine = f.engine();
-  QueryConfig config;
-  config.k = 1;
-  config.tau_m = 600.0;
   const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const QueryResult before = engine.Tops(psi, config);
+  const QueryResult before = f.Run(Spec(1, 600.0));
   for (int i = 0; i < 200; ++i) {
     const traj::TrajId t = f.store->Add({0, 1, 2, 10, 11, 12});
     f.index->AddTrajectory(*f.store, t);
   }
-  const QueryResult after = engine.Tops(psi, config);
+  const QueryResult after = f.Run(Spec(1, 600.0));
   const double before_utility = tops::CoverageIndex::EvaluateSelection(
       *f.store, f.sites, before.selection.sites, 600.0, psi);
   const double after_utility = tops::CoverageIndex::EvaluateSelection(
@@ -242,11 +219,7 @@ TEST(Query, DynamicTrajectoryUpdatesChangeAnswers) {
 
 TEST(Query, TransientMemoryIsBounded) {
   Fixture f;
-  QueryEngine engine = f.engine();
-  QueryConfig config;
-  config.k = 5;
-  config.tau_m = 800.0;
-  const QueryResult got = engine.Tops(tops::PreferenceFunction::Binary(), config);
+  const QueryResult got = f.Run(Spec(5, 800.0));
   EXPECT_GT(got.transient_bytes, 0u);
   EXPECT_GT(got.total_seconds, 0.0);
   EXPECT_GE(got.total_seconds, got.cover_build_seconds);

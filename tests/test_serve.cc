@@ -30,7 +30,6 @@
 #include "serve/update_pipeline.h"
 #include "test_helpers.h"
 #include "traj/trip_generator.h"
-#include "util/flags.h"
 
 namespace netclus {
 namespace {
@@ -68,8 +67,8 @@ Engine::QuerySpec Spec(uint32_t k, double tau_m) {
 // server executes.
 index::QueryResult ReplayOn(const serve::IndexSnapshot& snapshot,
                             const Engine::QuerySpec& spec) {
-  const Engine::QuerySpec canon = serve::CanonicalizeSpec(spec);
-  return snapshot.query().Tops(canon.psi, canon.ToConfig(/*threads=*/1));
+  return test::RunOnIndex(snapshot.index(), snapshot.store(), snapshot.sites(),
+                          serve::CanonicalizeSpec(spec));
 }
 
 // Serial replay of a spec on the exact snapshot that served it.
@@ -103,13 +102,13 @@ TEST(NetClusServer, SubmitMatchesEngineAndCaches) {
   auto server = engine.Serve();
   const Engine::QuerySpec spec = Spec(5, 700.0);
 
-  const serve::ServeResult first = server->Submit(spec);
+  const serve::ServeResult first = test::Submit(*server, spec);
   EXPECT_EQ(first.snapshot_version, 1u);
   EXPECT_FALSE(first.cache_hit);
-  const auto direct = engine.TopK(spec.k, spec.tau_m, spec.psi);
+  const auto direct = engine.Run(spec);
   ExpectBitIdentical(direct, first.result);
 
-  const serve::ServeResult second = server->Submit(spec);
+  const serve::ServeResult second = test::Submit(*server, spec);
   EXPECT_TRUE(second.cache_hit);
   ExpectBitIdentical(first.result, second.result);
 
@@ -118,20 +117,6 @@ TEST(NetClusServer, SubmitMatchesEngineAndCaches) {
   EXPECT_EQ(stats.cache.hits, 1u);
   EXPECT_EQ(stats.cache.misses, 1u);
   EXPECT_GE(stats.latency_p99_ms, 0.0);
-}
-
-TEST(NetClusServer, BatchSharesOneVersionAndKeepsOrder) {
-  Engine engine = MakeEngine();
-  auto server = engine.Serve();
-  std::vector<Engine::QuerySpec> specs = {Spec(1, 500.0), Spec(3, 700.0),
-                                          Spec(5, 900.0), Spec(2, 1100.0)};
-  const auto answers = server->SubmitBatch(specs);
-  ASSERT_EQ(answers.size(), specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(answers[i].snapshot_version, answers[0].snapshot_version);
-    EXPECT_EQ(answers[i].result.selection.sites.size(), specs[i].k);
-    ExpectBitIdentical(Replay(answers[i], specs[i]), answers[i].result);
-  }
 }
 
 TEST(UpdatePipeline, PreassignedTrajectoryIdsMatchTheStore) {
@@ -157,7 +142,7 @@ TEST(UpdatePipeline, SnapshotIsolationLeavesOldReadersUntouched) {
   auto server = engine.Serve();
   const Engine::QuerySpec spec = Spec(1, 600.0);
 
-  const serve::ServeResult before = server->Submit(spec);
+  const serve::ServeResult before = test::Submit(*server, spec);
   const serve::SnapshotPtr old_snap = before.snapshot;
 
   // Flood one corner so the k=1 answer must change.
@@ -166,7 +151,7 @@ TEST(UpdatePipeline, SnapshotIsolationLeavesOldReadersUntouched) {
   }
   server->Flush();
 
-  const serve::ServeResult after = server->Submit(spec);
+  const serve::ServeResult after = test::Submit(*server, spec);
   EXPECT_GT(after.snapshot_version, before.snapshot_version);
   EXPECT_GT(after.result.selection.utility, before.result.selection.utility);
 
@@ -233,10 +218,10 @@ TEST(UpdatePipeline, RejectsInvalidOpsAtEnqueueNotOnTheWriter) {
   // Garbage τ from a client (NaN, inf) must select some instance and
   // answer, never abort the service (UBSan guards the cast path).
   const auto nan_q =
-      server->Submit(Spec(2, std::numeric_limits<double>::quiet_NaN()));
+      test::Submit(*server, Spec(2, std::numeric_limits<double>::quiet_NaN()));
   EXPECT_GE(nan_q.result.selection.utility, 0.0);
   const auto inf_q =
-      server->Submit(Spec(2, std::numeric_limits<double>::infinity()));
+      test::Submit(*server, Spec(2, std::numeric_limits<double>::infinity()));
   EXPECT_GE(inf_q.result.selection.utility, 0.0);
 
   // Rejected ops do not consume sequence numbers or trajectory ids: the
@@ -267,9 +252,8 @@ TEST(DynamicUpdates, RemovingUnknownTrajectoryIsANoOpEverywhere) {
   EXPECT_EQ(server->snapshot()->store().live_count(), live - 1);
   // The pipeline's bogus remove changed nothing: the served answer is
   // bit-identical to querying the engine (which saw only the real remove).
-  const auto after = server->Submit(Spec(3, 600.0));
-  ExpectBitIdentical(engine.TopK(3, 600.0, tops::PreferenceFunction::Binary()),
-                     after.result);
+  const auto after = test::Submit(*server, Spec(3, 600.0));
+  ExpectBitIdentical(engine.Run(Spec(3, 600.0)), after.result);
 }
 
 TEST(QueryCache, CanonicalizationAndLru) {
@@ -348,14 +332,14 @@ TEST(NetClusServer, ServerAndRetainedSnapshotsOutliveTheEngine) {
   auto engine = std::make_unique<Engine>(MakeEngine());
   auto server = engine->Serve();
   const Engine::QuerySpec spec = Spec(3, 700.0);
-  const serve::ServeResult held = server->Submit(spec);
+  const serve::ServeResult held = test::Submit(*server, spec);
   engine.reset();  // the server copied network/corpus/sites: self-contained
 
   ExpectBitIdentical(held.result, Replay(held, spec));  // retained snapshot
   server->MutateAddTrajectory({0, 1, 2, 12});           // pipeline still works
   server->Flush();
   EXPECT_GT(server->snapshot()->version(), 1u);
-  const auto fresh = server->Submit(spec);
+  const auto fresh = test::Submit(*server, spec);
   EXPECT_EQ(fresh.result.selection.sites.size(), 3u);
 }
 
@@ -372,9 +356,10 @@ TEST(NetClusServer, GracefulShutdownDrainsThenRejectsWrites) {
 
   const serve::UpdateTicket late = server->MutateAddTrajectory({1, 2});
   EXPECT_FALSE(late.accepted);
-  // Reads keep working against the final snapshot.
-  const auto result = server->Submit(Spec(2, 600.0));
-  EXPECT_EQ(result.result.selection.sites.size(), 2u);
+  // Reads are refused with a status, never answered or dropped.
+  const auto result = test::Submit(*server, Spec(2, 600.0));
+  EXPECT_EQ(result.status, serve::StatusCode::kShutdown);
+  EXPECT_EQ(result.snapshot, nullptr);
   server->Shutdown();  // idempotent
 }
 
@@ -403,7 +388,8 @@ TEST(NetClusServer, ConcurrentServingMatchesSerialReplayAtEveryVersion) {
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int q = 0; q < kQueriesPerReader; ++q) {
         const size_t spec_index = (r + q) % specs.size();
-        recorded[r].emplace_back(spec_index, server->Submit(specs[spec_index]));
+        recorded[r].emplace_back(spec_index,
+                                 test::Submit(*server, specs[spec_index]));
       }
     });
   }
@@ -648,15 +634,16 @@ TEST(NetClusServerAsync, ShutdownCompletesInFlightRequests) {
     ASSERT_EQ(r.status, serve::StatusCode::kOk);
     ExpectBitIdentical(Replay(r, specs[i % specs.size()]), r.result);
   }
-  // After shutdown the async surface refuses, the blocking shim answers
-  // inline (v1 behavior).
+  // After shutdown both flavours of SubmitAsync refuse.
+  EXPECT_EQ(test::Submit(*server, specs[0]).status,
+            serve::StatusCode::kShutdown);
+  serve::StatusCode late_status = serve::StatusCode::kOk;
   serve::Request late;
   late.spec = specs[0];
-  EXPECT_EQ(server->SubmitAsync(std::move(late)).get().status,
-            serve::StatusCode::kShutdown);
-  const serve::ServeResult inline_read = server->Submit(specs[0]);
-  EXPECT_EQ(inline_read.status, serve::StatusCode::kOk);
-  EXPECT_EQ(inline_read.result.selection.sites.size(), 1u);
+  server->SubmitAsync(std::move(late), [&late_status](serve::Response r) {
+    late_status = r.status;
+  });
+  EXPECT_EQ(late_status, serve::StatusCode::kShutdown);
 }
 
 TEST(NetClusServerAsync, InvalidSpecMapsToStatusNotException) {
@@ -671,11 +658,11 @@ TEST(NetClusServerAsync, InvalidSpecMapsToStatusNotException) {
   EXPECT_EQ(r.status, serve::StatusCode::kInvalidSpec);
   EXPECT_EQ(r.snapshot, nullptr);
 
-  // The blocking shim maps the same validation failure to a status too.
+  // A capacity payload of the wrong size maps to the same status.
   Engine::QuerySpec bad_capacity;
   bad_capacity.variant = exec::QueryVariant::kTopsCapacity;
   bad_capacity.site_capacities = {3.0};
-  EXPECT_EQ(server->Submit(bad_capacity).status,
+  EXPECT_EQ(test::Submit(*server, bad_capacity).status,
             serve::StatusCode::kInvalidSpec);
   EXPECT_EQ(server->stats().queries_served, 0u);
 
@@ -758,7 +745,6 @@ TEST(CoverCache, EvictionNeverBreaksBuildOnceRendezvous) {
   serve::CoverCache::Options options;
   options.capacity = 1;  // four keys fight over one completed slot
   options.shards = 1;
-  options.respect_env = false;  // the CI matrix sets NETCLUS_COVER_CACHE=0
   serve::CoverCache cache(options);
 
   constexpr int kThreads = 4;
@@ -809,7 +795,6 @@ TEST(CoverCache, FailedBuilderOnlyCleansUpItsOwnEntry) {
   serve::CoverCache::Options options;
   options.capacity = 4;
   options.shards = 1;
-  options.respect_env = false;
   serve::CoverCache cache(options);
   const exec::CoverKey key = TauKey(500.0);
 
@@ -982,7 +967,8 @@ TEST(NetClusServer, CarryoverKeepsCachesWarmAcrossCleanPublishes) {
   auto server = engine.Serve(options);
   const Engine::QuerySpec spec = Spec(4, 800.0);
 
-  const serve::ServeResult v1 = server->Submit(spec);  // warms both caches
+  // Warms both caches.
+  const serve::ServeResult v1 = test::Submit(*server, spec);
   ASSERT_EQ(v1.snapshot_version, 1u);
   ASSERT_FALSE(v1.cache_hit);
 
@@ -990,7 +976,7 @@ TEST(NetClusServer, CarryoverKeepsCachesWarmAcrossCleanPublishes) {
   server->Flush();
   ASSERT_EQ(server->snapshot()->version(), 2u);
 
-  const serve::ServeResult v2 = server->Submit(spec);
+  const serve::ServeResult v2 = test::Submit(*server, spec);
   EXPECT_EQ(v2.snapshot_version, 2u);
   EXPECT_TRUE(v2.cache_hit);  // carried entry answered at the NEW version
   EXPECT_FALSE(v2.stale);     // a carry is not a stale serve
@@ -999,11 +985,7 @@ TEST(NetClusServer, CarryoverKeepsCachesWarmAcrossCleanPublishes) {
 
   serve::ServerStats stats = server->stats();
   EXPECT_GE(stats.cache.carried, 1u);
-  // The cover cache may be disabled for the whole suite run
-  // (NETCLUS_COVER_CACHE=0 in the CI exec matrix) — no covers to carry.
-  if (netclus::util::GetEnvBool("NETCLUS_COVER_CACHE", true)) {
-    EXPECT_GE(stats.cover_cache.carried, 1u);
-  }
+  EXPECT_GE(stats.cover_cache.carried, 1u);
   EXPECT_EQ(stats.cache.stale_hits, 0u);
   EXPECT_GE(stats.carryover_publishes, 1u);
   EXPECT_GE(stats.carryover_clean_partitions,
@@ -1014,7 +996,7 @@ TEST(NetClusServer, CarryoverKeepsCachesWarmAcrossCleanPublishes) {
   server->MutateAddTrajectory({0, 1, 2, 12});
   server->Flush();
   const uint64_t carried_before = server->stats().cache.carried;
-  const serve::ServeResult v3 = server->Submit(spec);
+  const serve::ServeResult v3 = test::Submit(*server, spec);
   EXPECT_EQ(v3.snapshot_version, 3u);
   EXPECT_FALSE(v3.cache_hit);
   ExpectBitIdentical(Replay(v3, spec), v3.result);
@@ -1047,8 +1029,8 @@ TEST(NetClusServer, CarryoverDifferentialUnderLiveUpdates) {
     const std::vector<Engine::QuerySpec> specs = {
         Spec(2, 500.0), Spec(4, 800.0), Spec(3, 1200.0)};
     for (const Engine::QuerySpec& spec : specs) {  // warm both caches at v1
-      server_on->Submit(spec);
-      server_off->Submit(spec);
+      test::Submit(*server_on, spec);
+      test::Submit(*server_off, spec);
     }
 
     constexpr int kQueriesPerReader = 45;
@@ -1062,9 +1044,9 @@ TEST(NetClusServer, CarryoverDifferentialUnderLiveUpdates) {
         for (int q = 0; q < kQueriesPerReader; ++q) {
           const size_t spec_index = (r + q) % specs.size();
           rec_on[r].emplace_back(spec_index,
-                                 server_on->Submit(specs[spec_index]));
+                                 test::Submit(*server_on, specs[spec_index]));
           rec_off[r].emplace_back(spec_index,
-                                  server_off->Submit(specs[spec_index]));
+                                  test::Submit(*server_off, specs[spec_index]));
         }
       });
     }
@@ -1120,17 +1102,15 @@ TEST(NetClusServer, CarryoverDifferentialUnderLiveUpdates) {
     }
     // Oracle 3: at the common final version, the servers agree exactly.
     for (const Engine::QuerySpec& spec : specs) {
-      ExpectBitIdentical(server_on->Submit(spec).result,
-                         server_off->Submit(spec).result);
+      ExpectBitIdentical(test::Submit(*server_on, spec).result,
+                         test::Submit(*server_off, spec).result);
     }
 
     // The clean publishes really carried entries — and only where enabled.
     const serve::ServerStats on_stats = server_on->stats();
     const serve::ServerStats off_stats = server_off->stats();
     EXPECT_GE(on_stats.cache.carried, 1u);
-    if (netclus::util::GetEnvBool("NETCLUS_COVER_CACHE", true)) {
-      EXPECT_GE(on_stats.cover_cache.carried, 1u);
-    }
+    EXPECT_GE(on_stats.cover_cache.carried, 1u);
     EXPECT_GT(on_stats.carryover_publishes, 0u);
     EXPECT_EQ(off_stats.cache.carried, 0u);
     EXPECT_EQ(off_stats.cover_cache.carried, 0u);
@@ -1181,7 +1161,7 @@ TEST(StandingQueries, InitialPushThenDeltaGatedReevaluation) {
   EXPECT_EQ(seen[0].version, 1u);
   EXPECT_TRUE(seen[0].added.empty());
   EXPECT_TRUE(seen[0].removed.empty());
-  ExpectBitIdentical(server->Submit(spec).result, seen[0].result);
+  ExpectBitIdentical(test::Submit(*server, spec).result, seen[0].result);
   expect_matches_replay(0);
 
   // Clean publish: skipped without evaluating — no push.

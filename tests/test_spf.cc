@@ -256,7 +256,9 @@ Engine MakeBackendEngine(spf::BackendKind kind, uint32_t threads,
 TEST(SpfEngineEquivalence, TopKIdenticalAcrossBackendsAndThreads) {
   const uint64_t seed = test::FuzzSeed(kSuiteSeedBase + 4, 0);
   SCOPED_TRACE(test::SeedTrace(seed));
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
+  Engine::QuerySpec single_spec;
+  single_spec.k = 5;
+  single_spec.tau_m = 800.0;
 
   std::vector<Engine::QuerySpec> specs;
   for (uint32_t k : {3u, 5u}) {
@@ -271,7 +273,7 @@ TEST(SpfEngineEquivalence, TopKIdenticalAcrossBackendsAndThreads) {
   // Reference: plain Dijkstra, serial.
   const Engine reference =
       MakeBackendEngine(spf::BackendKind::kDijkstra, 1, seed);
-  const auto expected_single = reference.TopK(5, 800.0, psi);
+  const auto expected_single = reference.Run(single_spec);
   const auto expected_batch = reference.TopKBatch(specs);
 
   for (const spf::BackendKind kind :
@@ -285,7 +287,7 @@ TEST(SpfEngineEquivalence, TopKIdenticalAcrossBackendsAndThreads) {
                    << "backend=" << spf::BackendName(kind)
                    << " threads=" << threads);
       const Engine engine = MakeBackendEngine(kind, threads, seed);
-      const auto single = engine.TopK(5, 800.0, psi);
+      const auto single = engine.Run(single_spec);
       EXPECT_EQ(single.selection.sites, expected_single.selection.sites);
       EXPECT_EQ(single.selection.utility, expected_single.selection.utility);
 
@@ -349,9 +351,11 @@ TEST(SpfEngineEquivalence, IndexFileCarriesBackend) {
   EXPECT_EQ(loader.distance_backend().kind(),
             spf::BackendKind::kContractionHierarchies);
 
-  const tops::PreferenceFunction psi = tops::PreferenceFunction::Binary();
-  const auto expected = saver.TopK(5, 800.0, psi);
-  const auto actual = loader.TopK(5, 800.0, psi);
+  Engine::QuerySpec spec;
+  spec.k = 5;
+  spec.tau_m = 800.0;
+  const auto expected = saver.Run(spec);
+  const auto actual = loader.Run(spec);
   EXPECT_EQ(actual.selection.sites, expected.selection.sites);
   std::remove(path.c_str());
 }

@@ -29,9 +29,7 @@
 // site-update stream; shed and stale responses are always flagged, never
 // silently wrong.
 //
-// Knobs: NETCLUS_CARRYOVER=0|1 restricts the carryover sweep to one
-// setting (the CI serve legs run both and upload distinct JSONs); unset
-// sweeps both. Besides the stdout table, rows are written as JSON to
+// Besides the stdout table, rows are written as JSON to
 // BENCH_serve_tail.json (override with NETCLUS_BENCH_JSON) so CI can
 // track the serving trajectory.
 #include "bench_common.h"
@@ -114,7 +112,7 @@ struct CellResult {
   uint32_t readers = 0;
   std::string update_kind;  // none | traj | site
   uint32_t update_batch = 0;
-  int carryover = 1;
+  bool carryover = true;
   uint64_t ok = 0;
   uint64_t stale = 0;
   uint64_t shed = 0;  // kOverloaded + kDeadlineExceeded + stale-served
@@ -139,7 +137,7 @@ CellResult RunCell(const Engine& engine,
                    const std::vector<graph::NodeId>& site_pool,
                    const std::string& update_kind, uint32_t readers,
                    uint32_t traj_batch, size_t queries, uint32_t publish_ms,
-                   uint64_t stale_lag, int carryover) {
+                   uint64_t stale_lag, bool carryover) {
   serve::ServerOptions options;
   options.updates.max_batch = 64;
   options.carryover = carryover;
@@ -345,21 +343,13 @@ int main(int argc, char** argv) {
   // paced publish rate this is a window of a few seconds of staleness.
   const uint64_t stale_lag = static_cast<uint64_t>(
       util::GetEnvInt("NETCLUS_SERVE_STALE_LAG", 64));
-  // NETCLUS_CARRYOVER set → bench only that setting (the CI serve legs
-  // run the bench once per value); unset → sweep off and on.
-  const int carryover_env = static_cast<int>(
-      util::GetEnvInt("NETCLUS_CARRYOVER", -1));
-  const std::vector<int> carryover_sweep =
-      carryover_env < 0 ? std::vector<int>{0, 1}
-                        : std::vector<int>{carryover_env != 0 ? 1 : 0};
-
   std::vector<CellResult> cells;
   util::Table table({"readers", "upd_kind", "carryover", "ok", "stale",
                      "shed", "wall_s", "qps", "p50_ms", "p95_ms", "p99_ms",
                      "p999_ms", "shed_rate", "cache_hit", "carried",
                      "snapshots"});
   const auto run_row = [&](uint32_t readers, const std::string& kind,
-                           int carryover) {
+                           bool carryover) {
     const CellResult cell =
         RunCell(engine, update_pool, site_pool, kind, readers, traj_batch,
                 queries, publish_ms, stale_lag, carryover);
@@ -384,10 +374,10 @@ int main(int argc, char** argv) {
   };
   for (const uint32_t readers : {2u, 8u}) {
     // Read-only baseline: carryover has no publishes to act on.
-    run_row(readers, "none", 1);
+    run_row(readers, "none", true);
   }
   for (const std::string kind : {"traj", "site"}) {
-    for (const int carryover : carryover_sweep) {
+    for (const bool carryover : {false, true}) {
       for (const uint32_t readers : {2u, 8u}) {
         run_row(readers, kind, carryover);
       }

@@ -12,7 +12,8 @@
 // A BuiltCover depends only on (instance, τ) and the immutable corpus —
 // not on k, ψ, FM, or existing services — which is exactly why the
 // executor shares one build across every plan with the same CoverKey and
-// the serving layer caches it per snapshot version (serve/cover_cache.h).
+// the serving layer caches it per snapshot version (serve::CoverCache,
+// serve/query_cache.h).
 // Construction is deterministic at every thread count (the per-chunk
 // scratch never changes the covers), so a shared cover is bit-identical
 // to a per-query rebuild.

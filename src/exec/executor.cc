@@ -1,5 +1,6 @@
 #include "exec/executor.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -29,12 +30,24 @@ Executor::Executor(const index::MultiIndex* index,
       hooks_(std::move(hooks)) {}
 
 void Executor::ValidatePlan(const QueryPlan& plan) const {
-  if (plan.variant == QueryVariant::kTopsCost &&
-      plan.site_costs.size() != sites_->size()) {
-    throw std::invalid_argument(
-        "Tops: site_costs must have one entry per site (got " +
-        std::to_string(plan.site_costs.size()) + ", want " +
-        std::to_string(sites_->size()) + ")");
+  if (plan.variant == QueryVariant::kTopsCost) {
+    if (plan.site_costs.size() != sites_->size()) {
+      throw std::invalid_argument(
+          "Tops: site_costs must have one entry per site (got " +
+          std::to_string(plan.site_costs.size()) + ", want " +
+          std::to_string(sites_->size()) + ")");
+    }
+    // The cost greedy divides by every cost it considers (CostGreedy
+    // aborts on a cost <= 0), and a NaN budget prunes nothing.
+    for (size_t s = 0; s < plan.site_costs.size(); ++s) {
+      if (!(plan.site_costs[s] > 0.0)) {
+        throw std::invalid_argument("Tops: site_costs[" + std::to_string(s) +
+                                    "] must be > 0");
+      }
+    }
+    if (std::isnan(plan.budget)) {
+      throw std::invalid_argument("Tops: budget must not be NaN");
+    }
   }
   if (plan.variant == QueryVariant::kTopsCapacity &&
       plan.site_capacities.size() != sites_->size()) {

@@ -66,8 +66,9 @@ class Executor {
   /// Executes one plan through the three stages.
   index::QueryResult Execute(const QueryPlan& plan) const;
 
-  /// Throws std::invalid_argument on malformed payloads (cost / capacity
-  /// vectors must be site-indexed). Execute/ExecuteBatch call this; the
+  /// Throws std::invalid_argument on malformed payloads: cost / capacity
+  /// vectors must be site-indexed, every cost > 0 and the budget not NaN.
+  /// Execute/ExecuteBatch call this; the
   /// serving layer calls it eagerly at admission so a bad spec surfaces
   /// as kInvalidSpec instead of a worker-thread exception.
   void ValidatePlan(const QueryPlan& plan) const;

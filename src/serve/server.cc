@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <exception>
+#include <string>
 #include <utility>
 
 #include "exec/executor.h"
@@ -27,6 +28,42 @@ uint8_t LaneIdx(Lane lane) { return static_cast<uint8_t>(lane); }
 const char* kLaneNames[] = {"fast", "normal", "heavy"};
 const char* kPriorityNames[] = {"interactive", "normal", "best_effort"};
 
+/// Registers a cache's counters as netclus_<name>_cache_* series. The
+/// provider reads `cache`, which outlives the registry entry by ownership.
+template <typename Cache>
+void RegisterCacheMetrics(obs::MetricsRegistry& m, const std::string& name,
+                          const std::string& label, const Cache& cache) {
+  struct Series {
+    const char* suffix;
+    const char* help;
+    bool counter;
+    uint64_t CacheStats::*field;
+  };
+  static constexpr Series kSeries[] = {
+      {"hits_total", "finds at the current version, incl. joined builds",
+       true, &CacheStats::hits},
+      {"misses_total", "builds run (GetOrBuild calls that built)", true,
+       &CacheStats::misses},
+      {"stale_hits_total", "finds at a previous version (stale serves)",
+       true, &CacheStats::stale_hits},
+      {"evictions_total", "LRU evictions", true, &CacheStats::evictions},
+      {"entries", "resident entries", false, &CacheStats::entries},
+      {"resident_bytes", "bytes of completed resident entries", false,
+       &CacheStats::resident_bytes},
+      {"carried_total", "entries re-keyed across publishes", true,
+       &CacheStats::carried},
+  };
+  const std::string metric_prefix = "netclus_" + name + "_cache_";
+  const std::string help_prefix = label + ": ";
+  for (const Series& series : kSeries) {
+    m.RegisterProvider(metric_prefix + series.suffix, {},
+                       help_prefix + series.help, series.counter,
+                       [&cache, field = series.field]() {
+                         return static_cast<double>(cache.stats().*field);
+                       });
+  }
+}
+
 }  // namespace
 
 const char* StatusName(StatusCode status) {
@@ -51,8 +88,6 @@ struct NetClusServer::AsyncState {
   std::function<void(Response)> callback;
   util::WallTimer timer;  ///< starts at SubmitAsync
   exec::QueryPlan plan;
-  QueryKey key;
-  bool cacheable = false;
   bool holds_slot = false;
   SnapshotPtr snap;  ///< the version current at admission
   Response response;
@@ -88,9 +123,6 @@ NetClusServer::NetClusServer(const Engine& engine, const ServerOptions& options)
   registry_.Publish(std::make_shared<IndexSnapshot>(
       /*version=*/1, std::move(network), std::move(store), std::move(sites),
       std::move(index)));
-  carryover_enabled_ = options.carryover >= 0
-                           ? options.carryover != 0
-                           : util::GetEnvBool("NETCLUS_CARRYOVER", true);
   // Chain the server's publish hook (cache carryover + standing queries)
   // in front of any caller-supplied one; both run on the writer thread.
   UpdatePipeline::Options updates = options.updates;
@@ -219,11 +251,9 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
     return;
   }
   state->trace.set_plan_fingerprint(state->plan.key.Fingerprint());
-  state->cacheable = cache_.enabled() && state->plan.cacheable;
-  if (state->cacheable) {
-    state->key.version = version;
-    state->key.plan = state->plan.key;
-    if (std::optional<index::QueryResult> cached = cache_.Lookup(state->key)) {
+  if (state->plan.cacheable) {
+    if (std::optional<index::QueryResult> cached =
+            cache_.TryGet(version, state->plan.key)) {
       r.result = std::move(*cached);
       r.cache_hit = true;
       r.snapshot = state->snap;
@@ -234,18 +264,17 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
     }
   }
   const exec::CoverKey cover_key = state->plan.cover_key();
-  if (cover_cache_.enabled()) {
-    // A cover already built for this version means no heavy stage: solve
-    // right here on the fast lane. This is what keeps cache-warm queries
-    // from ever waiting behind queued builds.
-    if (exec::CoverPtr cover = cover_cache_.TryGet(version, cover_key)) {
-      ctx_->stats.RecordCoverShared();
-      state->trace.AddFlags(obs::kFlagCoverShared);
-      end_admit_span();
-      FinishOnCover(state, state->snap, cover, /*cover_reused=*/true,
-                    /*stale=*/false);
-      return;
-    }
+  // A cover already built for this version means no heavy stage: solve
+  // right here on the fast lane. This is what keeps cache-warm queries
+  // from ever waiting behind queued builds.
+  if (std::optional<exec::CoverPtr> cover =
+          cover_cache_.TryGet(version, cover_key)) {
+    ctx_->stats.RecordCoverShared();
+    state->trace.AddFlags(obs::kFlagCoverShared);
+    end_admit_span();
+    FinishOnCover(state, state->snap, *cover, /*cover_reused=*/true,
+                  /*stale=*/false);
+    return;
   }
   // Backpressure: a fresh answer needs a build. If builds are backed up
   // and the policy tolerates lag, answer from a previous version — the
@@ -256,10 +285,10 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
   const uint64_t max_lag = state->request.staleness.max_version_lag;
   if (max_lag > 0 &&
       scheduler_->QueueDepth(Lane::kHeavy) >= options_.shed_builds_over) {
-    if (state->cacheable) {
-      uint64_t served_version = 0;
-      if (std::optional<index::QueryResult> staler =
-              cache_.LookupStale(state->key, max_lag, &served_version)) {
+    uint64_t served_version = 0;
+    if (state->plan.cacheable) {
+      if (std::optional<index::QueryResult> staler = cache_.TryGet(
+              version, state->plan.key, max_lag, &served_version)) {
         r.result = std::move(*staler);
         r.cache_hit = true;
         r.shed = true;
@@ -272,16 +301,15 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
         return;
       }
     }
-    uint64_t cover_version = 0;
-    if (exec::CoverPtr cover = cover_cache_.TryGetStale(
-            version, cover_key, max_lag, &cover_version)) {
-      if (SnapshotPtr old_snap = registry_.AcquireVersion(cover_version)) {
+    if (std::optional<exec::CoverPtr> cover = cover_cache_.TryGet(
+            version, cover_key, max_lag, &served_version)) {
+      if (SnapshotPtr old_snap = registry_.AcquireVersion(served_version)) {
         ctx_->stats.RecordCoverShared();
         state->trace.AddFlags(obs::kFlagCoverShared);
         r.shed = true;
         end_admit_span();
-        FinishOnCover(state, old_snap, cover, /*cover_reused=*/true,
-                      /*stale=*/cover_version != version);
+        FinishOnCover(state, old_snap, *cover, /*cover_reused=*/true,
+                      /*stale=*/served_version != version);
         return;
       }
     }
@@ -305,18 +333,9 @@ void NetClusServer::StageBuild(const std::shared_ptr<AsyncState>& state) {
   const uint64_t build_start = obs::TraceNowNs();
   const SnapshotPtr& snap = state->snap;
   try {
-    exec::CoverHooks hooks;
-    if (cover_cache_.enabled()) {
-      const uint64_t version = snap->version();
-      hooks.acquire = [this, version](
-                          const exec::CoverKey& cover_key,
-                          const std::function<exec::CoverPtr()>& build,
-                          bool* reused) {
-        return cover_cache_.GetOrBuild(version, cover_key, build, reused);
-      };
-    }
     const exec::Executor executor(&snap->index(), &snap->store(),
-                                  &snap->sites(), ctx_.get(), hooks);
+                                  &snap->sites(), ctx_.get(),
+                                  CoverHooksAt(snap->version()));
     bool reused = false;
     const exec::CoverPtr cover =
         executor.ObtainCover(state->plan, state->plan.threads, &reused);
@@ -338,11 +357,20 @@ void NetClusServer::FinishOnCover(const std::shared_ptr<AsyncState>& state,
                                   bool cover_reused, bool stale) {
   Response& r = state->response;
   const uint64_t exec_start = obs::TraceNowNs();
-  const exec::Executor executor(&snap->index(), &snap->store(), &snap->sites(),
-                                ctx_.get());
-  r.result = executor.ExecuteOnCover(state->plan, cover, cover_reused);
+  const auto solve = [&] {
+    return exec::Executor(&snap->index(), &snap->store(), &snap->sites(),
+                          ctx_.get())
+        .ExecuteOnCover(state->plan, cover, cover_reused);
+  };
+  // Identical reads in flight together run one solve: the others join it
+  // and count as cache hits. A stale answer caches at its own version.
+  r.result = state->plan.cacheable
+                 ? cache_.GetOrBuild(snap->version(), state->plan.key, solve,
+                                     &r.cache_hit)
+                 : solve();
   const uint64_t exec_end = obs::TraceNowNs();
-  if (state->trace.sampled()) {
+  // A read that joined another's solve ran none, so it has no solve span.
+  if (state->trace.sampled() && !r.cache_hit) {
     // The executor times its solve phase internally; carve the execute
     // window into Solve + Assemble from that measurement so both stages
     // show up without instrumenting executor internals.
@@ -358,11 +386,6 @@ void NetClusServer::FinishOnCover(const std::shared_ptr<AsyncState>& state,
   r.snapshot_version = snap->version();
   r.stale = stale;
   if (stale) ctx_->stats.RecordStaleServed();
-  if (state->cacheable) {
-    QueryKey key = state->key;
-    key.version = snap->version();  // a stale answer caches at its version
-    cache_.Insert(key, r.result);
-  }
   state->trace.AddSpan(obs::SpanName::kFinish, state->lane, exec_end,
                        obs::TraceNowNs());
   Complete(state, StatusCode::kOk);
@@ -428,33 +451,13 @@ ServeResult NetClusServer::AnswerInline(const Engine::QuerySpec& spec,
     const exec::QueryPlan plan =
         planner.Plan(canon.ToRequest(options_.query_threads), snap->index(),
                      /*batch_size=*/1);
-    QueryKey key;
-    const bool result_cacheable = cache_.enabled() && plan.cacheable;
-    if (result_cacheable) {
-      key.version = snap->version();
-      key.plan = plan.key;
-    }
-    std::optional<index::QueryResult> cached =
-        result_cacheable ? cache_.Lookup(key) : std::nullopt;
-    if (cached.has_value()) {
-      out.result = std::move(*cached);
-      out.cache_hit = true;
-    } else {
-      exec::CoverHooks hooks;
-      if (cover_cache_.enabled()) {
-        const uint64_t version = snap->version();
-        hooks.acquire = [this, version](
-                            const exec::CoverKey& cover_key,
-                            const std::function<exec::CoverPtr()>& build,
-                            bool* reused) {
-          return cover_cache_.GetOrBuild(version, cover_key, build, reused);
-        };
-      }
-      const exec::Executor executor(&snap->index(), &snap->store(),
-                                    &snap->sites(), ctx_.get(), hooks);
-      out.result = executor.Execute(plan);
-      if (result_cacheable) cache_.Insert(key, out.result);
-    }
+    const exec::Executor executor(&snap->index(), &snap->store(),
+                                  &snap->sites(), ctx_.get(),
+                                  CoverHooksAt(snap->version()));
+    const auto solve = [&] { return executor.Execute(plan); };
+    out.result = plan.cacheable ? cache_.GetOrBuild(snap->version(), plan.key,
+                                                    solve, &out.cache_hit)
+                                : solve();
   } catch (const std::exception& e) {
     NC_SLOG_WARNING("invalid_spec").Kv("what", e.what());
     out.snapshot = nullptr;
@@ -490,9 +493,19 @@ UpdateTicket NetClusServer::MutateAddSite(graph::NodeId node) {
 
 void NetClusServer::Flush() { pipeline_->Flush(); }
 
+exec::CoverHooks NetClusServer::CoverHooksAt(uint64_t version) {
+  exec::CoverHooks hooks;
+  hooks.acquire = [this, version](const exec::CoverKey& key,
+                                  const std::function<exec::CoverPtr()>& build,
+                                  bool* reused) {
+    return cover_cache_.GetOrBuild(version, key, build, reused);
+  };
+  return hooks;
+}
+
 void NetClusServer::OnPublish(uint64_t old_version, uint64_t new_version,
                               const DeltaSummary& delta) {
-  if (carryover_enabled_) {
+  if (options_.carryover) {
     carryover_publishes_.fetch_add(1, std::memory_order_relaxed);
     carryover_clean_partitions_.fetch_add(
         delta.dirty.size() - delta.DirtyCount(), std::memory_order_relaxed);
@@ -589,53 +602,8 @@ void NetClusServer::RegisterMetrics() {
                        return static_cast<double>(scheduler_->workers());
                      });
 
-  const auto cache_stat = [this](uint64_t QueryCache::Stats::*field) {
-    return [this, field]() {
-      return static_cast<double>(cache_.stats().*field);
-    };
-  };
-  m.RegisterProvider("netclus_query_cache_hits_total", {},
-                     "Result-cache hits", true,
-                     cache_stat(&QueryCache::Stats::hits));
-  m.RegisterProvider("netclus_query_cache_misses_total", {},
-                     "Result-cache misses", true,
-                     cache_stat(&QueryCache::Stats::misses));
-  m.RegisterProvider("netclus_query_cache_evictions_total", {},
-                     "Result-cache LRU evictions", true,
-                     cache_stat(&QueryCache::Stats::evictions));
-  m.RegisterProvider("netclus_query_cache_stale_hits_total", {},
-                     "Successful stale-version probes", true,
-                     cache_stat(&QueryCache::Stats::stale_hits));
-  m.RegisterProvider("netclus_query_cache_entries", {},
-                     "Resident result-cache entries", false,
-                     cache_stat(&QueryCache::Stats::entries));
-  m.RegisterProvider("netclus_query_cache_carried_total", {},
-                     "Result-cache entries re-keyed across publishes", true,
-                     cache_stat(&QueryCache::Stats::carried));
-
-  const auto cover_stat = [this](uint64_t CoverCache::Stats::*field) {
-    return [this, field]() {
-      return static_cast<double>(cover_cache_.stats().*field);
-    };
-  };
-  m.RegisterProvider("netclus_cover_cache_hits_total", {},
-                     "Cover-cache hits (existing or in-flight builds)", true,
-                     cover_stat(&CoverCache::Stats::hits));
-  m.RegisterProvider("netclus_cover_cache_misses_total", {},
-                     "Cover-cache misses (built here)", true,
-                     cover_stat(&CoverCache::Stats::misses));
-  m.RegisterProvider("netclus_cover_cache_evictions_total", {},
-                     "Cover-cache LRU evictions", true,
-                     cover_stat(&CoverCache::Stats::evictions));
-  m.RegisterProvider("netclus_cover_cache_entries", {},
-                     "Resident covers", false,
-                     cover_stat(&CoverCache::Stats::entries));
-  m.RegisterProvider("netclus_cover_cache_resident_bytes", {},
-                     "Bytes of completed resident covers", false,
-                     cover_stat(&CoverCache::Stats::resident_bytes));
-  m.RegisterProvider("netclus_cover_cache_carried_total", {},
-                     "Covers re-keyed across publishes", true,
-                     cover_stat(&CoverCache::Stats::carried));
+  RegisterCacheMetrics(m, "query", "Result cache", cache_);
+  RegisterCacheMetrics(m, "cover", "Cover cache", cover_cache_);
 
   m.RegisterProvider("netclus_carryover_publishes_total", {},
                      "Publishes processed by delta-aware cache carryover",

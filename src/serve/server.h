@@ -5,8 +5,9 @@
 //                       plus a bounded history window for stale serving;
 //   UpdatePipeline    — single writer applying Sec. 6 incremental updates
 //                       in batches, publishing a new snapshot per batch;
-//   QueryCache        — sharded LRU over (canonical query, version);
-//   CoverCache        — snapshot-versioned cover sharing across queries;
+//   QueryCache        — versioned result cache over canonical plans;
+//   CoverCache        — versioned cover sharing across queries (both
+//                       VersionedCache instances, build-once per key);
 //   StagedScheduler   — work-stealing pool running the async request
 //                       stages (admit/solve on the fast lanes, cover
 //                       builds on the heavy lane);
@@ -48,7 +49,6 @@
 #include "exec/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/cover_cache.h"
 #include "serve/delta.h"
 #include "serve/query_cache.h"
 #include "serve/snapshot.h"
@@ -67,7 +67,7 @@ enum class StatusCode : uint8_t {
   kOverloaded = 1,        ///< rejected at admission: priority queue full
   kDeadlineExceeded = 2,  ///< soft deadline passed before the answer
   kShutdown = 3,          ///< server shut down before/while processing
-  kInvalidSpec = 4,       ///< malformed spec (site-indexed payload sizes)
+  kInvalidSpec = 4,       ///< malformed spec (payload size, cost <= 0, ...)
 };
 
 const char* StatusName(StatusCode status);
@@ -137,11 +137,14 @@ struct ServerOptions {
   /// NETCLUS_THREADS default). Keep at 1 when many clients submit
   /// concurrently — the clients themselves are the parallelism.
   uint32_t query_threads = 1;
-  QueryCache::Options cache;
+  /// Result cache; capacity = 0 disables it.
+  CacheOptions cache;
   /// Cross-query T̂C sharing (docs/query_planning.md): queries with the
   /// same (snapshot, instance, τ) reuse one cover build even when k, ψ,
-  /// or ES differ. cover_cache.capacity = 0 disables it.
-  CoverCache::Options cover_cache;
+  /// or ES differ. capacity = 0 disables it. Covers are large (Σ |T̂C|
+  /// per instance) and live traffic has few distinct (instance, τ)
+  /// pairs, so the budget stays small.
+  CacheOptions cover_cache = {/*capacity=*/32, /*shards=*/8};
   UpdatePipeline::Options updates;
   /// Scheduler pool size (0 = NETCLUS_SCHED_WORKERS, else
   /// min(hardware_concurrency, 8), at least 2).
@@ -173,9 +176,8 @@ struct ServerOptions {
   /// query/cover cache entries whose (instance, τ) partition a publish
   /// provably did not touch (see delta.h) instead of letting every
   /// publish reset the caches to cold. Results are bit-identical either
-  /// way. Negative (default) resolves NETCLUS_CARRYOVER (default on);
-  /// 0 disables, positive enables.
-  int carryover = -1;
+  /// way.
+  bool carryover = true;
 };
 
 struct ServerStats {
@@ -189,8 +191,9 @@ struct ServerStats {
   /// Samples beyond the histogram range (> 100 s); nonzero means the
   /// tail percentiles above are range-clamped.
   uint64_t latency_overflow = 0;
-  QueryCache::Stats cache;
-  CoverCache::Stats cover_cache;
+  /// Counting contract: see CacheStats.
+  CacheStats cache;
+  CacheStats cover_cache;
   /// Planner/executor stage latencies (EWMA), queue waits, per-instance
   /// cover-build stats, and the shed/stale counters, from this server's
   /// exec::StatsRegistry.
@@ -310,8 +313,9 @@ class NetClusServer {
   /// Stage 2 (heavy lane): cover build (rendezvoused through the cover
   /// cache), then solve + assemble.
   void StageBuild(const std::shared_ptr<AsyncState>& state);
-  /// Solve + assemble on a ready cover against `snap`, cache the result,
-  /// complete kOk.
+  /// Solve + assemble on a ready cover against `snap` through the result
+  /// cache's build-once rendezvous (a read that joins another's solve is
+  /// a cache hit), complete kOk.
   void FinishOnCover(const std::shared_ptr<AsyncState>& state,
                      const SnapshotPtr& snap, const exec::CoverPtr& cover,
                      bool cover_reused, bool stale);
@@ -325,6 +329,9 @@ class NetClusServer {
   /// throws to kInvalidSpec.
   ServeResult AnswerInline(const Engine::QuerySpec& spec,
                            const SnapshotPtr& snap);
+
+  /// Cover source for executors on snapshot `version`: the cover cache.
+  exec::CoverHooks CoverHooksAt(uint64_t version);
 
   /// Update-pipeline publish hook (writer thread): carry the caches
   /// forward under the delta, then delta-gate standing-query
@@ -342,7 +349,6 @@ class NetClusServer {
   QueryCache cache_;
   CoverCache cover_cache_;
   StandingQueryRegistry standing_;
-  bool carryover_enabled_ = true;
   std::atomic<uint64_t> carryover_publishes_{0};
   std::atomic<uint64_t> carryover_clean_partitions_{0};
   /// Per-server execution context: stats registry + warn-once state,

@@ -1,6 +1,7 @@
 #include "tops/variants.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 #include "util/timer.h"
@@ -41,6 +42,19 @@ struct UtilityState {
 
   std::vector<double> utility;
 };
+
+// How many trajectories a site of this capacity may serve: ⌊capacity⌋
+// clamped to [0, |TC(s)|]. A site never serves more than |TC(s)|, so the
+// saturation changes no answer, and it keeps the conversion defined for
+// +inf and huge capacities, whose cast to size_t is undefined. NaN and
+// non-positive capacities serve nothing.
+size_t CapacityCount(double capacity, size_t tc_size) {
+  const double floored = std::floor(capacity);
+  if (!(floored > 0.0)) return 0;
+  return floored >= static_cast<double>(tc_size)
+             ? tc_size
+             : static_cast<size_t>(floored);
+}
 
 }  // namespace
 
@@ -142,8 +156,7 @@ CapacityResult CapacityGreedy(const CoverageIndex& coverage,
       // Capped marginal: sum of the top-cap per-trajectory gains (Sec 7.2:
       // α_i = min(|TC(s_i)|, cap(s_i))).
       const auto tc = coverage.TC(s);
-      const size_t cap = static_cast<size_t>(
-          std::max(0.0, std::floor(config.site_capacities[s])));
+      const size_t cap = CapacityCount(config.site_capacities[s], tc.size());
       gains.clear();
       for (const CoverEntry& e : tc) {
         const double score = psi.Score(e.dr_m, tau);
@@ -167,8 +180,8 @@ CapacityResult CapacityGreedy(const CoverageIndex& coverage,
 
     // Serve the top-cap trajectories of the chosen site.
     const auto tc = coverage.TC(best);
-    const size_t cap = static_cast<size_t>(
-        std::max(0.0, std::floor(config.site_capacities[best])));
+    const size_t cap =
+        CapacityCount(config.site_capacities[best], tc.size());
     std::vector<std::pair<double, uint32_t>> ranked;  // (gain, traj)
     for (const CoverEntry& e : tc) {
       const double score = psi.Score(e.dr_m, tau);
@@ -209,8 +222,8 @@ CostResult CostCapacityGreedy(const CoverageIndex& coverage,
   // Capped marginal of site s against the current state.
   std::vector<double> gains;
   auto capped_marginal = [&](SiteId s) {
-    const size_t cap = static_cast<size_t>(
-        std::max(0.0, std::floor(config.site_capacities[s])));
+    const size_t cap =
+        CapacityCount(config.site_capacities[s], coverage.TC(s).size());
     gains.clear();
     coverage.TC(s).ForEach([&](const CoverEntry& e) {
       const double score = psi.Score(e.dr_m, tau);
@@ -249,8 +262,8 @@ CostResult CostCapacityGreedy(const CoverageIndex& coverage,
     }
     if (best == kInvalidSite || best_ratio <= 0.0) break;
     // Serve the chosen site's top-cap trajectories.
-    const size_t cap = static_cast<size_t>(
-        std::max(0.0, std::floor(config.site_capacities[best])));
+    const size_t cap =
+        CapacityCount(config.site_capacities[best], coverage.TC(best).size());
     std::vector<std::pair<double, uint32_t>> ranked;
     coverage.TC(best).ForEach([&](const CoverEntry& e) {
       const double score = psi.Score(e.dr_m, tau);
@@ -283,8 +296,8 @@ CostResult CostCapacityGreedy(const CoverageIndex& coverage,
     gains.clear();
     coverage.TC(s).ForEach(
         [&](const CoverEntry& e) { gains.push_back(psi.Score(e.dr_m, tau)); });
-    const size_t cap = static_cast<size_t>(
-        std::max(0.0, std::floor(config.site_capacities[s])));
+    const size_t cap =
+        CapacityCount(config.site_capacities[s], coverage.TC(s).size());
     double utility = 0.0;
     if (gains.size() <= cap) {
       for (double g : gains) utility += g;

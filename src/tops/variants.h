@@ -43,7 +43,9 @@ std::vector<double> DrawNormalCosts(size_t num_sites, double mean,
 
 struct CapacityConfig {
   uint32_t k = 5;
-  std::vector<double> site_capacities;  ///< max trajectories per site
+  /// Max trajectories per site: ⌊c⌋, saturating at |TC(s)| (so +inf means
+  /// unbounded); NaN and c < 1 serve nothing.
+  std::vector<double> site_capacities;
 };
 
 struct CapacityResult {

@@ -28,7 +28,6 @@
 #include "exec/plan.h"
 #include "exec/planner.h"
 #include "gtest/gtest.h"
-#include "serve/cover_cache.h"
 #include "serve/query_cache.h"
 #include "serve/server.h"
 #include "test_helpers.h"
@@ -695,6 +694,27 @@ TEST(CoverCache, VersionIsPartOfTheKeyAndLruEvicts) {
   (void)cache.GetOrBuild(1, key, build, &reused);  // must rebuild
   EXPECT_FALSE(reused);
   EXPECT_EQ(builds, 4);
+}
+
+// TryGet's stale ladder over covers: a find at lag 0 is a hit, a find at
+// a lag above 0 a stale hit, and a failed probe counts nothing.
+TEST(CoverCache, LaggedFindCountsStaleHit) {
+  serve::CoverCache::Options options;
+  options.capacity = 8;
+  serve::CoverCache cache(options);
+  const exec::CoverKey key{0, 42};
+  bool reused = false;
+  const exec::CoverPtr built = cache.GetOrBuild(
+      3, key, [] { return std::make_shared<exec::BuiltCover>(); }, &reused);
+  uint64_t served = 0;
+  EXPECT_FALSE(cache.TryGet(5, key, 1, &served).has_value());  // 5, 4 absent
+  EXPECT_EQ(cache.TryGet(5, key, 2, &served).value_or(nullptr), built);
+  EXPECT_EQ(served, 3u);
+  ASSERT_TRUE(cache.TryGet(3, key).has_value());
+  const serve::CoverCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.stale_hits, 1u);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(CoverCache, DisabledCacheDegeneratesToPlainBuilds) {

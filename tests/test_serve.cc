@@ -1,6 +1,6 @@
 // Tests for the concurrent serving subsystem (src/serve): snapshot
-// isolation, the single-writer update pipeline, the sharded query cache,
-// and the NetClusServer facade.
+// isolation, the single-writer update pipeline, the versioned result and
+// cover caches, and the NetClusServer facade.
 //
 // The load-bearing property is at the bottom: with >= 4 reader threads
 // submitting queries while the update pipeline publishes new snapshot
@@ -21,7 +21,6 @@
 #include "api/engine.h"
 #include "exec/cover_build.h"
 #include "gtest/gtest.h"
-#include "serve/cover_cache.h"
 #include "serve/delta.h"
 #include "serve/query_cache.h"
 #include "serve/server.h"
@@ -75,6 +74,18 @@ index::QueryResult ReplayOn(const serve::IndexSnapshot& snapshot,
 index::QueryResult Replay(const serve::ServeResult& served,
                           const Engine::QuerySpec& spec) {
   return ReplayOn(*served.snapshot, spec);
+}
+
+// The result-cache key of a spec (resolution instance 0: key-only tests).
+exec::PlanKey KeyOf(const Engine::QuerySpec& spec) {
+  return exec::CanonicalPlanKey(spec.ToRequest(/*threads=*/0), /*instance=*/0);
+}
+
+// Seeds the result cache through its one write path.
+void Seed(serve::QueryCache& cache, uint64_t version, const exec::PlanKey& key,
+          const index::QueryResult& result) {
+  bool reused = false;
+  (void)cache.GetOrBuild(version, key, [&] { return result; }, &reused);
 }
 
 void ExpectBitIdentical(const index::QueryResult& expected,
@@ -265,29 +276,28 @@ TEST(QueryCache, CanonicalizationAndLru) {
 
   // Permuted + duplicated existing services canonicalize to the same key.
   spec.existing_services = {3, 1, 2};
-  const serve::QueryKey a = serve::CanonicalQueryKey(7, spec);
+  const exec::PlanKey a = KeyOf(spec);
   spec.existing_services = {2, 3, 1, 1};
-  const serve::QueryKey b = serve::CanonicalQueryKey(7, spec);
+  const exec::PlanKey b = KeyOf(spec);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(serve::QueryKeyHash()(a), serve::QueryKeyHash()(b));
-  // A version bump changes the key: publishes implicitly invalidate.
-  const serve::QueryKey c = serve::CanonicalQueryKey(8, spec);
-  EXPECT_FALSE(a == c);
+  EXPECT_EQ(serve::QueryCacheTraits::Hash(a), serve::QueryCacheTraits::Hash(b));
 
   index::QueryResult r;
   r.selection.utility = 42.0;
-  EXPECT_FALSE(cache.Lookup(a).has_value());
-  cache.Insert(a, r);
-  ASSERT_TRUE(cache.Lookup(b).has_value());
-  EXPECT_EQ(cache.Lookup(b)->selection.utility, 42.0);
+  EXPECT_FALSE(cache.TryGet(7, a).has_value());
+  Seed(cache, 7, a, r);
+  ASSERT_TRUE(cache.TryGet(7, b).has_value());
+  EXPECT_EQ(cache.TryGet(7, b)->selection.utility, 42.0);
+  // A version bump changes the key: publishes implicitly invalidate.
+  EXPECT_FALSE(cache.TryGet(8, a).has_value());
 
-  // Fill past capacity; the LRU tail (key `a`) must be evicted after `c`
-  // and `d` are touched more recently.
+  // Fill past capacity; the LRU tail (version 7) must be evicted after
+  // versions 8 and 9 are touched more recently.
   spec.existing_services.clear();
-  const serve::QueryKey d = serve::CanonicalQueryKey(9, spec);
-  cache.Insert(c, r);
-  cache.Insert(d, r);
-  EXPECT_FALSE(cache.Lookup(a).has_value());
+  const exec::PlanKey d = KeyOf(spec);
+  Seed(cache, 8, a, r);
+  Seed(cache, 9, d, r);
+  EXPECT_FALSE(cache.TryGet(7, a).has_value());
   const serve::QueryCache::Stats stats = cache.stats();
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
@@ -304,13 +314,13 @@ TEST(QueryCache, ZeroShardsClampsInsteadOfCrashing) {
   EXPECT_TRUE(cache.enabled());
 
   Engine::QuerySpec spec = Spec(4, 700.0);
-  const serve::QueryKey key = serve::CanonicalQueryKey(1, spec);
+  const exec::PlanKey key = KeyOf(spec);
   index::QueryResult r;
   r.selection.utility = 7.0;
-  EXPECT_FALSE(cache.Lookup(key).has_value());  // exercises ShardFor
-  cache.Insert(key, r);
-  ASSERT_TRUE(cache.Lookup(key).has_value());
-  EXPECT_EQ(cache.Lookup(key)->selection.utility, 7.0);
+  EXPECT_FALSE(cache.TryGet(1, key).has_value());  // exercises ShardFor
+  Seed(cache, 1, key, r);
+  ASSERT_TRUE(cache.TryGet(1, key).has_value());
+  EXPECT_EQ(cache.TryGet(1, key)->selection.utility, 7.0);
 }
 
 // More shards than capacity: per-shard budgets must not round every shard
@@ -323,7 +333,7 @@ TEST(QueryCache, ShardCountShrinksToCapacity) {
   Engine::QuerySpec spec = Spec(4, 700.0);
   index::QueryResult r;
   for (uint64_t version = 1; version <= 16; ++version) {
-    cache.Insert(serve::CanonicalQueryKey(version, spec), r);
+    Seed(cache, version, KeyOf(spec), r);
   }
   EXPECT_LE(cache.stats().entries, 2u);
 }
@@ -664,6 +674,21 @@ TEST(NetClusServerAsync, InvalidSpecMapsToStatusNotException) {
   bad_capacity.site_capacities = {3.0};
   EXPECT_EQ(test::Submit(*server, bad_capacity).status,
             serve::StatusCode::kInvalidSpec);
+  // Site-indexed but malformed cost payloads: a zero cost (the cost
+  // greedy divides by every cost it weighs and aborts on one <= 0) and a
+  // NaN budget (which would prune nothing).
+  Engine::QuerySpec zero_cost;
+  zero_cost.variant = exec::QueryVariant::kTopsCost;
+  zero_cost.site_costs.assign(engine.sites().size(), 0.0);
+  zero_cost.budget = 3.0;
+  EXPECT_EQ(test::Submit(*server, zero_cost).status,
+            serve::StatusCode::kInvalidSpec);
+  Engine::QuerySpec nan_budget;
+  nan_budget.variant = exec::QueryVariant::kTopsCost;
+  nan_budget.site_costs.assign(engine.sites().size(), 1.0);
+  nan_budget.budget = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(test::Submit(*server, nan_budget).status,
+            serve::StatusCode::kInvalidSpec);
   EXPECT_EQ(server->stats().queries_served, 0u);
 
   // A well-formed cost spec flows through the same unified path.
@@ -677,45 +702,66 @@ TEST(NetClusServerAsync, InvalidSpecMapsToStatusNotException) {
   EXPECT_FALSE(priced.result.selection.sites.empty());
 }
 
+// Identical reads admitted together share one solve through the result
+// cache's build-once rendezvous: one read builds, the rest join it (or
+// find its completed entry) and count as cache hits. Without it, every
+// read admitted before the first answer landed would run its own solve.
+TEST(NetClusServerAsync, ConcurrentIdenticalReadsRunOneSolve) {
+  Engine engine = MakeEngine();
+  auto server = engine.Serve();
+  const Engine::QuerySpec spec = Spec(4, 800.0);
+  constexpr int kReads = 16;
+  std::vector<std::future<serve::Response>> pending;
+  for (int i = 0; i < kReads; ++i) {
+    serve::Request request;
+    request.spec = spec;
+    pending.push_back(server->SubmitAsync(std::move(request)));
+  }
+  for (std::future<serve::Response>& future : pending) {
+    const serve::Response r = future.get();
+    ASSERT_EQ(r.status, serve::StatusCode::kOk);
+    ExpectBitIdentical(Replay(r, spec), r.result);
+  }
+  const serve::ServerStats stats = server->stats();
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_EQ(stats.cache.hits, static_cast<uint64_t>(kReads - 1));
+  EXPECT_EQ(stats.exec.solve.count, 1u);
+}
+
 // --- delta-aware carryover, standing queries, cache accounting --------------
 
-// Satellite regression: LookupStale's counters must partition exactly.
-// A lag-0 find is an ordinary fresh hit, a lagged find is a stale hit,
-// and a fully failed ladder is one miss (it used to count lag-0 finds as
-// stale — inflating the stale-serving metric — and failed ladders as
-// nothing at all).
-TEST(QueryCache, LookupStaleCountsFreshStaleAndMissExactly) {
+// The stale ladder's counters partition exactly: a lag-0 find is an
+// ordinary fresh hit, a lagged find is a stale hit, and a failed ladder
+// counts nothing (only a GetOrBuild that builds is a miss).
+TEST(QueryCache, TryGetLadderCountsFreshStaleAndMissExactly) {
   serve::QueryCache::Options options;
   options.capacity = 64;
   options.shards = 4;
   serve::QueryCache cache(options);
-  const Engine::QuerySpec spec = Spec(3, 700.0);
+  const exec::PlanKey key = KeyOf(Spec(3, 700.0));
   index::QueryResult result;
   result.selection.utility = 5.0;
-  cache.Insert(serve::CanonicalQueryKey(3, spec), result);
+  Seed(cache, 3, key, result);  // builds: the one miss
 
   // Found at lag 0: the fresh version answered — hits, not stale_hits.
   uint64_t served = 0;
-  ASSERT_TRUE(cache.LookupStale(serve::CanonicalQueryKey(3, spec), 4, &served)
-                  .has_value());
+  ASSERT_TRUE(cache.TryGet(3, key, 4, &served).has_value());
   EXPECT_EQ(served, 3u);
   serve::QueryCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.stale_hits, 0u);
-  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.misses, 1u);
 
   // Found at lag 2: a genuine stale serve.
-  ASSERT_TRUE(cache.LookupStale(serve::CanonicalQueryKey(5, spec), 2, &served)
-                  .has_value());
+  ASSERT_TRUE(cache.TryGet(5, key, 2, &served).has_value());
   EXPECT_EQ(served, 3u);
   s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.stale_hits, 1u);
-  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.misses, 1u);
 
-  // Whole ladder fails (versions 9, 8, 7 all absent): exactly one miss.
-  EXPECT_FALSE(cache.LookupStale(serve::CanonicalQueryKey(9, spec), 2, &served)
-                   .has_value());
+  // Whole ladder fails (versions 9, 8, 7 all absent): nothing counted.
+  EXPECT_FALSE(cache.TryGet(9, key, 2, &served).has_value());
   s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.stale_hits, 1u);
@@ -846,7 +892,7 @@ TEST(CoverCache, FailedBuilderOnlyCleansUpItsOwnEntry) {
   EXPECT_FALSE(b_reused);
   EXPECT_EQ(b_cover->bytes, 77u);
   // B's entry survived A's cleanup: resident, counted, servable.
-  EXPECT_NE(cache.TryGet(1, key), nullptr);
+  EXPECT_NE(cache.TryGet(1, key).value_or(nullptr), nullptr);
   const serve::CoverCache::Stats s = cache.stats();
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.resident_bytes, 77u);
@@ -963,7 +1009,7 @@ TEST(NetClusServer, CleanPublishKeepsCoversByteEqual) {
 TEST(NetClusServer, CarryoverKeepsCachesWarmAcrossCleanPublishes) {
   Engine engine = MakeEngine();
   serve::ServerOptions options;
-  options.carryover = 1;
+  options.carryover = true;
   auto server = engine.Serve(options);
   const Engine::QuerySpec spec = Spec(4, 800.0);
 
@@ -1021,8 +1067,8 @@ TEST(NetClusServer, CarryoverDifferentialUnderLiveUpdates) {
       }
     }
     serve::ServerOptions on_options, off_options;
-    on_options.carryover = 1;
-    off_options.carryover = 0;
+    on_options.carryover = true;
+    off_options.carryover = false;
     auto server_on = engine_on.Serve(on_options);
     auto server_off = engine_off.Serve(off_options);
 
@@ -1121,7 +1167,7 @@ TEST(NetClusServer, CarryoverDifferentialUnderLiveUpdates) {
 TEST(StandingQueries, InitialPushThenDeltaGatedReevaluation) {
   Engine engine = MakeEngine();
   serve::ServerOptions options;
-  options.carryover = 1;
+  options.carryover = true;
   auto server = engine.Serve(options);
   const Engine::QuerySpec spec = Spec(3, 700.0);
 

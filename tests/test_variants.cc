@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "gtest/gtest.h"
@@ -117,14 +118,19 @@ TEST(CapacityGreedy, ServedCountsRespectCapacities) {
 TEST(CapacityGreedy, InfiniteCapacityMatchesPlainGreedyUtility) {
   const CoverageIndex cov = RandomInstance(13, 20, 80);
   const PreferenceFunction psi = PreferenceFunction::Binary();
-  CapacityConfig config;
-  config.k = 5;
-  config.site_capacities.assign(20, 1e9);
-  const CapacityResult capacity = CapacityGreedy(cov, psi, config);
   GreedyConfig gc;
   gc.k = 5;
   const Selection greedy = IncGreedy(cov, psi, gc);
-  EXPECT_NEAR(capacity.selection.utility, greedy.utility, 1e-9);
+  // +inf is unbounded too: its count saturates at |TC(s)| (a bare size_t
+  // cast of +inf is undefined).
+  for (const double cap : {1e9, std::numeric_limits<double>::infinity()}) {
+    CapacityConfig config;
+    config.k = 5;
+    config.site_capacities.assign(20, cap);
+    const CapacityResult capacity = CapacityGreedy(cov, psi, config);
+    EXPECT_NEAR(capacity.selection.utility, greedy.utility, 1e-9)
+        << "cap=" << cap;
+  }
 }
 
 TEST(CapacityGreedy, UtilityGrowsWithCapacity) {

@@ -1,5 +1,6 @@
 #include "sketch/fm_sketch.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -18,14 +19,26 @@ FmSketch::FmSketch(uint32_t num_copies, uint64_t seed) : seed_(seed) {
   words_.assign(num_copies, 0u);
 }
 
+uint64_t FmSketch::CopySalt(uint64_t seed, uint32_t copy) {
+  return util::SplitMix64(seed + 0x9e3779b97f4a7c15ULL * (uint64_t{copy} + 1));
+}
+
+uint32_t FmSketch::CopyBit(uint64_t element, uint64_t salt) {
+  const uint64_t h = util::SplitMix64(element ^ salt);
+  // Trailing zero count gives a geometric(1/2) bit position.
+  const int pos = h == 0 ? 31 : std::min(31, std::countr_zero(h));
+  return 1u << pos;
+}
+
 void FmSketch::Add(uint64_t element) {
-  for (size_t i = 0; i < words_.size(); ++i) {
-    const uint64_t h = util::SplitMix64(
-        element ^ util::SplitMix64(seed_ + 0x9e3779b97f4a7c15ULL * (i + 1)));
-    // Trailing zero count gives a geometric(1/2) bit position.
-    const int pos = h == 0 ? 31 : std::min(31, std::countr_zero(h));
-    words_[i] |= (1u << pos);
+  for (uint32_t i = 0; i < num_copies(); ++i) {
+    words_[i] |= CopyBit(element, CopySalt(seed_, i));
   }
+}
+
+void FmSketch::AddHashed(std::span<const uint32_t> words) {
+  NC_CHECK_EQ(words.size(), words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= words[i];
 }
 
 void FmSketch::Merge(const FmSketch& other) {

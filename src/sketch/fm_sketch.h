@@ -11,11 +11,18 @@
 //
 // 32-bit words handle ~4 billion distinct elements, as in the paper, and
 // OR over them is a single instruction.
+//
+// The hash has two halves: a per-copy salt that depends only on (seed,
+// copy), and the element mixed with that salt. CopySalt and CopyBit are its
+// one definition; Add uses them, and a caller that inserts one element into
+// many sketches can hash it once with them and OR the words in with
+// AddHashed.
 #ifndef NETCLUS_SKETCH_FM_SKETCH_H_
 #define NETCLUS_SKETCH_FM_SKETCH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace netclus::sketch {
@@ -29,6 +36,19 @@ class FmSketch {
 
   /// Inserts an element (idempotent).
   void Add(uint64_t element);
+
+  /// Inserts an element hashed beforehand: `words[i]` must be
+  /// CopyBit(element, CopySalt(seed(), i)) for every copy i. Equivalent to
+  /// Add(element), without the hashing.
+  void AddHashed(std::span<const uint32_t> words);
+
+  /// The salt of copy `copy` under `seed`: the half of the hash that does
+  /// not depend on the element.
+  static uint64_t CopySalt(uint64_t seed, uint32_t copy);
+
+  /// The one-hot word `element` sets in the copy salted with `salt`: bit
+  /// min(31, trailing zeros of the mixed hash), a geometric(1/2) position.
+  static uint32_t CopyBit(uint64_t element, uint64_t salt);
 
   /// Bitwise-OR union; other must have the same copies and seed.
   void Merge(const FmSketch& other);
@@ -48,6 +68,8 @@ class FmSketch {
   bool IsEmpty() const;
 
   uint32_t num_copies() const { return static_cast<uint32_t>(words_.size()); }
+  /// One word per copy.
+  std::span<const uint32_t> words() const { return words_; }
   uint64_t seed() const { return seed_; }
 
   /// Standard error of the estimate as a fraction, ~0.78 / sqrt(f).

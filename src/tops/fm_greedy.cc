@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "sketch/fm_sketch.h"
 #include "util/logging.h"
@@ -15,13 +16,29 @@ FmGreedyResult FmGreedy(const CoverageIndex& coverage,
   FmGreedyResult result;
   const size_t n = coverage.num_sites();
 
-  // Build one sketch per site from its trajectory cover.
+  // Build one sketch per site from its trajectory cover, hashing each
+  // trajectory once: row t of `hashed` holds the f words FmSketch::Add(t)
+  // would OR in.
   util::WallTimer build_timer;
+  const uint32_t f = config.num_sketches;
+  std::vector<uint64_t> salts(f);
+  for (uint32_t i = 0; i < f; ++i) {
+    salts[i] = sketch::FmSketch::CopySalt(config.sketch_seed, i);
+  }
+  std::vector<uint32_t> hashed(coverage.num_trajectories() * f);
+  for (size_t t = 0; t < coverage.num_trajectories(); ++t) {
+    for (uint32_t i = 0; i < f; ++i) {
+      hashed[t * f + i] = sketch::FmSketch::CopyBit(t, salts[i]);
+    }
+  }
+  const std::span<const uint32_t> rows(hashed);
   std::vector<sketch::FmSketch> sketches;
   sketches.reserve(n);
   for (SiteId s = 0; s < n; ++s) {
-    sketch::FmSketch sk(config.num_sketches, config.sketch_seed);
-    coverage.TC(s).ForEach([&](const CoverEntry& e) { sk.Add(e.id); });
+    sketch::FmSketch sk(f, config.sketch_seed);
+    coverage.TC(s).ForEach([&](const CoverEntry& e) {
+      sk.AddHashed(rows.subspan(size_t{e.id} * f, f));
+    });
     sketches.push_back(std::move(sk));
   }
   result.sketch_build_seconds = build_timer.Seconds();

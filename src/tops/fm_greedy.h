@@ -6,7 +6,13 @@
 // The scan over candidates is early-terminated: sites are kept sorted by
 // their standalone utility, which upper-bounds any marginal (submodularity),
 // so the scan stops at the first site whose standalone utility cannot beat
-// the best marginal found so far.
+// the best marginal found so far. The scan stays eager: a sketch estimate
+// is not an exact bound, so the lazy argmax of variants.h does not apply.
+//
+// The sketch build hashes each trajectory once per solve: a table of m × f
+// one-hot words (FmSketch::CopyBit), 4 bytes each, that every TC entry ORs
+// into its site's sketch (FmSketch::AddHashed). The sketches are identical
+// to inserting each entry with FmSketch::Add.
 #ifndef NETCLUS_TOPS_FM_GREEDY_H_
 #define NETCLUS_TOPS_FM_GREEDY_H_
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
 
+#include "util/float_bits.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -10,38 +13,21 @@ namespace netclus::tops {
 
 namespace {
 
-// Per-trajectory utility vector shared by the variant greedies.
-struct UtilityState {
-  explicit UtilityState(const CoverageIndex& coverage)
-      : utility(coverage.num_trajectories(), 0.0) {}
-
-  double MarginalOf(const CoverageIndex& coverage, const PreferenceFunction& psi,
-                    SiteId s) const {
-    double gain = 0.0;
-    const double tau = coverage.tau_m();
-    coverage.TC(s).ForEach([&](const CoverEntry& e) {
-      const double score = psi.Score(e.dr_m, tau);
-      if (score > utility[e.id]) gain += score - utility[e.id];
-    });
-    return gain;
+// Sum of the `cap` largest `gains`, added in descending order. The top-cap
+// multiset is well defined, so this order fixes the sum's bits whatever
+// order the gains arrive in, and the sum can only shrink when the gains
+// do — the property LazyGreedy needs. Reorders `gains`.
+double TopCapSum(std::vector<double>& gains, size_t cap) {
+  const size_t count = std::min(cap, gains.size());
+  if (count < gains.size()) {
+    std::nth_element(gains.begin(), gains.begin() + count, gains.end(),
+                     std::greater<>());
   }
-
-  double Apply(const CoverageIndex& coverage, const PreferenceFunction& psi,
-               SiteId s) {
-    double gain = 0.0;
-    const double tau = coverage.tau_m();
-    coverage.TC(s).ForEach([&](const CoverEntry& e) {
-      const double score = psi.Score(e.dr_m, tau);
-      if (score > utility[e.id]) {
-        gain += score - utility[e.id];
-        utility[e.id] = score;
-      }
-    });
-    return gain;
-  }
-
-  std::vector<double> utility;
-};
+  std::sort(gains.begin(), gains.begin() + count, std::greater<>());
+  double sum = 0.0;
+  for (size_t i = 0; i < count; ++i) sum += gains[i];
+  return sum;
+}
 
 // How many trajectories a site of this capacity may serve: ⌊capacity⌋
 // clamped to [0, |TC(s)|]. A site never serves more than |TC(s)|, so the
@@ -56,61 +42,203 @@ size_t CapacityCount(double capacity, size_t tc_size) {
              : static_cast<size_t>(floored);
 }
 
-}  // namespace
+// Per-trajectory utility vector shared by the variant greedies, with each
+// solver family's marginal and apply step. A marginal and the gain of
+// applying the same site against the same state are bit-identical.
+class UtilityState {
+ public:
+  UtilityState(const CoverageIndex& coverage, const PreferenceFunction& psi)
+      : coverage_(coverage), psi_(psi), tau_(coverage.tau_m()),
+        utility_(coverage.num_trajectories(), 0.0) {}
 
-CostResult CostGreedy(const CoverageIndex& coverage,
-                      const PreferenceFunction& psi, const CostConfig& config) {
-  NC_CHECK(!coverage.oom());
-  NC_CHECK_EQ(config.site_costs.size(), coverage.num_sites());
-  util::WallTimer timer;
-  CostResult result;
-  UtilityState state(coverage);
+  // Σ max(0, ψ − U_j) over TC(s), in TC order.
+  double Marginal(SiteId s) const {
+    double gain = 0.0;
+    coverage_.TC(s).ForEach([&](const CoverEntry& e) {
+      const double score = psi_.Score(e.dr_m, tau_);
+      if (score > utility_[e.id]) gain += score - utility_[e.id];
+    });
+    return gain;
+  }
 
-  const size_t n = coverage.num_sites();
-  std::vector<bool> excluded(n, false);
-  double spent = 0.0;
+  double Apply(SiteId s) {
+    double gain = 0.0;
+    coverage_.TC(s).ForEach([&](const CoverEntry& e) {
+      const double score = psi_.Score(e.dr_m, tau_);
+      if (score > utility_[e.id]) {
+        gain += score - utility_[e.id];
+        utility_[e.id] = score;
+      }
+    });
+    return gain;
+  }
 
-  // Greedy on marginal-gain per unit cost, pruning unaffordable sites.
-  while (true) {
-    SiteId best = kInvalidSite;
-    double best_ratio = 0.0;
-    const double remaining = config.budget - spent;
-    for (SiteId s = 0; s < n; ++s) {
-      if (excluded[s]) continue;
-      const double cost = config.site_costs[s];
-      NC_CHECK_GT(cost, 0.0);
-      if (cost > remaining) {
-        excluded[s] = true;  // pruned from S per Sec. 7.1
+  // Capped marginal (Sec. 7.2, α_i = min(|TC(s_i)|, cap(s_i))): the sum of
+  // the top-cap per-trajectory gains.
+  double CappedMarginal(SiteId s, double capacity) {
+    const auto tc = coverage_.TC(s);
+    gains_.clear();
+    tc.ForEach([&](const CoverEntry& e) {
+      const double score = psi_.Score(e.dr_m, tau_);
+      if (score > utility_[e.id]) gains_.push_back(score - utility_[e.id]);
+    });
+    return TopCapSum(gains_, CapacityCount(capacity, tc.size()));
+  }
+
+  // Serves the site's top-cap trajectories; returns (gain, served count).
+  std::pair<double, uint32_t> ApplyCapped(SiteId s, double capacity) {
+    const auto tc = coverage_.TC(s);
+    ranked_.clear();
+    tc.ForEach([&](const CoverEntry& e) {
+      const double score = psi_.Score(e.dr_m, tau_);
+      if (score > utility_[e.id]) {
+        ranked_.emplace_back(score - utility_[e.id], e.id);
+      }
+    });
+    std::sort(ranked_.begin(), ranked_.end(), std::greater<>());
+    const size_t cap = CapacityCount(capacity, tc.size());
+    if (ranked_.size() > cap) ranked_.resize(cap);
+    double gain = 0.0;
+    for (const auto& [g, t] : ranked_) {
+      utility_[t] += g;
+      gain += g;
+    }
+    return {gain, static_cast<uint32_t>(ranked_.size())};
+  }
+
+ private:
+  const CoverageIndex& coverage_;
+  const PreferenceFunction& psi_;
+  const double tau_;
+  std::vector<double> utility_;
+  std::vector<double> gains_;                        // scratch
+  std::vector<std::pair<double, uint32_t>> ranked_;  // scratch: (gain, traj)
+};
+
+// The one argmax of the variant greedies: lazy (CELF) evaluation, after
+// Minoux's accelerated greedy and Leskovec et al. (KDD 2007), as GDSP's
+// RunLazyExact. Candidates sit in a max-heap ordered by value descending,
+// then site id ascending, each value tagged with the round it was computed
+// in. Only a stale top is re-evaluated, until the top is fresh for the
+// current round; that top is the round's argmax. Why that is exact:
+//
+//  * Stale values are upper bounds. A marginal sums max(0, ψ − U_j) over a
+//    fixed TC order (capacity: its top-cap gains in descending order, see
+//    TopCapSum). When U grows each term shrinks or drops out, and IEEE
+//    subtraction and addition are monotone, so a value from an earlier
+//    round bounds the fresh one from above. Dividing by a positive cost
+//    keeps that.
+//  * Ties. The (value desc, id asc) order reproduces the eager scan's
+//    first strict maximum in id order: a site with the same fresh value
+//    and a smaller id holds a stale value at least as large, so it ranks
+//    above the top until it is fresh itself. Equal values compare with
+//    util::BitEqual, as tops::CoverOrder does.
+//  * Unaffordable sites. A popped site that `drop` rejects (cost above what
+//    remains of the budget) leaves for good, as the eager exclusion does:
+//    the remaining budget only shrinks.
+//
+// Stop rules stay with the solvers: the cost solvers stop at a fresh top
+// <= 0, capacity runs k rounds even at zero marginals, and market share
+// stops at its target, at max_sites or at a fresh top <= 0.
+class LazyGreedy {
+ public:
+  struct Pick {
+    SiteId site = kInvalidSite;  ///< kInvalidSite: no candidate left
+    double value = 0.0;
+  };
+
+  /// Adds `site` with a value fresh for the current round.
+  void Push(SiteId site, double value) {
+    heap_.push_back({value, site, round_});
+    std::push_heap(heap_.begin(), heap_.end(), RanksBelow());
+  }
+
+  /// Removes and returns the candidate with the largest fresh value.
+  /// `value(s)` re-evaluates a stale s; `drop(s)` removes s for good. A
+  /// returned pick closes the round: every value left is stale from then.
+  template <typename Value, typename Drop>
+  Pick PopBest(Value&& value, Drop&& drop) {
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), RanksBelow());
+      Candidate& top = heap_.back();
+      if (drop(top.site)) {
+        heap_.pop_back();
         continue;
       }
-      const double marginal = state.MarginalOf(coverage, psi, s);
-      const double ratio = marginal / cost;
-      if (best == kInvalidSite || ratio > best_ratio) {
-        best = s;
-        best_ratio = ratio;
+      if (top.round == round_) {
+        const Pick pick{top.site, top.value};
+        heap_.pop_back();
+        ++round_;
+        return pick;
       }
+      top.value = value(top.site);
+      top.round = round_;
+      std::push_heap(heap_.begin(), heap_.end(), RanksBelow());
     }
-    if (best == kInvalidSite || best_ratio <= 0.0) break;
-    const double gain = state.Apply(coverage, psi, best);
-    excluded[best] = true;
-    spent += config.site_costs[best];
-    result.selection.sites.push_back(best);
+    return {};
+  }
+
+ private:
+  struct Candidate {
+    double value;
+    SiteId site;
+    uint32_t round;
+  };
+  // Heap "less": a ranks below b. The heap's front is the largest value,
+  // and among bit-equal values the smallest id.
+  struct RanksBelow {
+    bool operator()(const Candidate& a, const Candidate& b) const {
+      return a.value < b.value ||
+             (util::BitEqual(a.value, b.value) && a.site > b.site);
+    }
+  };
+
+  std::vector<Candidate> heap_;
+  uint32_t round_ = 0;
+};
+
+// Budgeted greedy on marginal per unit cost, pruning unaffordable sites
+// (Sec. 7.1), then the s_max guard. `marginal(s)` and `apply(s)` evaluate
+// and select s against the solver's state.
+template <typename Marginal, typename Apply>
+CostResult BudgetedGreedy(size_t n, const std::vector<double>& site_costs,
+                          double budget, Marginal&& marginal, Apply&& apply) {
+  CostResult result;
+  std::vector<double> standalone(n, 0.0);
+  LazyGreedy lazy;
+  for (SiteId s = 0; s < n; ++s) {
+    const double cost = site_costs[s];
+    NC_CHECK_GT(cost, 0.0);
+    if (cost > budget) continue;  // pruned from S per Sec. 7.1
+    standalone[s] = marginal(s);
+    lazy.Push(s, standalone[s] / cost);
+  }
+  double spent = 0.0;
+  while (true) {
+    const double remaining = budget - spent;
+    const LazyGreedy::Pick best = lazy.PopBest(
+        [&](SiteId s) { return marginal(s) / site_costs[s]; },
+        [&](SiteId s) { return site_costs[s] > remaining; });
+    if (best.site == kInvalidSite || best.value <= 0.0) break;
+    const double gain = apply(best.site);
+    spent += site_costs[best.site];
+    result.selection.sites.push_back(best.site);
     result.selection.marginal_gains.push_back(gain);
     result.selection.utility += gain;
   }
   result.total_cost = spent;
 
   // The s_max guard: the single affordable site with maximal standalone
-  // utility; return whichever of {greedy set, {s_max}} is better. This is
-  // what lifts the bound to (1 - 1/e) / 2 [Khuller et al. 24].
+  // utility replaces the greedy set when it is better. This is what lifts
+  // the bound to (1 - 1/e) / 2 [Khuller et al. 24]. A site's round-0
+  // marginal is its standalone utility.
   SiteId smax = kInvalidSite;
   double smax_utility = 0.0;
   for (SiteId s = 0; s < n; ++s) {
-    if (config.site_costs[s] > config.budget) continue;
-    const double u = coverage.SiteWeight(s, psi);
-    if (smax == kInvalidSite || u > smax_utility) {
+    if (site_costs[s] > budget) continue;
+    if (smax == kInvalidSite || standalone[s] > smax_utility) {
       smax = s;
-      smax_utility = u;
+      smax_utility = standalone[s];
     }
   }
   if (smax != kInvalidSite && smax_utility > result.selection.utility) {
@@ -118,8 +246,25 @@ CostResult CostGreedy(const CoverageIndex& coverage,
     result.selection.sites = {smax};
     result.selection.marginal_gains = {smax_utility};
     result.selection.utility = smax_utility;
-    result.total_cost = config.site_costs[smax];
+    result.total_cost = site_costs[smax];
   }
+  return result;
+}
+
+constexpr auto kKeepAll = [](SiteId) { return false; };
+
+}  // namespace
+
+CostResult CostGreedy(const CoverageIndex& coverage,
+                      const PreferenceFunction& psi, const CostConfig& config) {
+  NC_CHECK(!coverage.oom());
+  NC_CHECK_EQ(config.site_costs.size(), coverage.num_sites());
+  util::WallTimer timer;
+  UtilityState state(coverage, psi);
+  CostResult result = BudgetedGreedy(
+      coverage.num_sites(), config.site_costs, config.budget,
+      [&](SiteId s) { return state.Marginal(s); },
+      [&](SiteId s) { return state.Apply(s); });
   result.selection.solve_seconds = timer.Seconds();
   return result;
 }
@@ -140,66 +285,24 @@ CapacityResult CapacityGreedy(const CoverageIndex& coverage,
   NC_CHECK_EQ(config.site_capacities.size(), coverage.num_sites());
   util::WallTimer timer;
   CapacityResult result;
-  UtilityState state(coverage);
-  const double tau = coverage.tau_m();
+  UtilityState state(coverage, psi);
+  const std::vector<double>& caps = config.site_capacities;
   const size_t n = coverage.num_sites();
-  std::vector<bool> selected(n, false);
+  const auto marginal = [&](SiteId s) {
+    return state.CappedMarginal(s, caps[s]);
+  };
+  LazyGreedy lazy;
+  for (SiteId s = 0; s < n; ++s) lazy.Push(s, marginal(s));
 
-  const uint32_t k =
-      static_cast<uint32_t>(std::min<size_t>(config.k, n));
-  std::vector<double> gains;  // scratch
+  // k <= n, so every round has a candidate left.
+  const uint32_t k = static_cast<uint32_t>(std::min<size_t>(config.k, n));
   for (uint32_t step = 0; step < k; ++step) {
-    SiteId best = kInvalidSite;
-    double best_marginal = -1.0;
-    for (SiteId s = 0; s < n; ++s) {
-      if (selected[s]) continue;
-      // Capped marginal: sum of the top-cap per-trajectory gains (Sec 7.2:
-      // α_i = min(|TC(s_i)|, cap(s_i))).
-      const auto tc = coverage.TC(s);
-      const size_t cap = CapacityCount(config.site_capacities[s], tc.size());
-      gains.clear();
-      for (const CoverEntry& e : tc) {
-        const double score = psi.Score(e.dr_m, tau);
-        if (score > state.utility[e.id]) gains.push_back(score - state.utility[e.id]);
-      }
-      double marginal = 0.0;
-      if (gains.size() <= cap) {
-        for (double g : gains) marginal += g;
-      } else {
-        std::nth_element(gains.begin(), gains.begin() + cap, gains.end(),
-                         std::greater<>());
-        for (size_t i = 0; i < cap; ++i) marginal += gains[i];
-      }
-      if (marginal > best_marginal) {
-        best_marginal = marginal;
-        best = s;
-      }
-    }
-    if (best == kInvalidSite) break;
-    selected[best] = true;
-
-    // Serve the top-cap trajectories of the chosen site.
-    const auto tc = coverage.TC(best);
-    const size_t cap =
-        CapacityCount(config.site_capacities[best], tc.size());
-    std::vector<std::pair<double, uint32_t>> ranked;  // (gain, traj)
-    for (const CoverEntry& e : tc) {
-      const double score = psi.Score(e.dr_m, tau);
-      if (score > state.utility[e.id]) {
-        ranked.emplace_back(score - state.utility[e.id], e.id);
-      }
-    }
-    std::sort(ranked.begin(), ranked.end(), std::greater<>());
-    if (ranked.size() > cap) ranked.resize(cap);
-    double gain = 0.0;
-    for (const auto& [g, t] : ranked) {
-      state.utility[t] += g;
-      gain += g;
-    }
+    const SiteId best = lazy.PopBest(marginal, kKeepAll).site;
+    const auto [gain, served] = state.ApplyCapped(best, caps[best]);
     result.selection.sites.push_back(best);
     result.selection.marginal_gains.push_back(gain);
     result.selection.utility += gain;
-    result.served_counts.push_back(static_cast<uint32_t>(ranked.size()));
+    result.served_counts.push_back(served);
   }
   result.selection.solve_seconds = timer.Seconds();
   return result;
@@ -212,112 +315,13 @@ CostResult CostCapacityGreedy(const CoverageIndex& coverage,
   NC_CHECK_EQ(config.site_costs.size(), coverage.num_sites());
   NC_CHECK_EQ(config.site_capacities.size(), coverage.num_sites());
   util::WallTimer timer;
-  CostResult result;
-  UtilityState state(coverage);
-  const double tau = coverage.tau_m();
-  const size_t n = coverage.num_sites();
-  std::vector<bool> excluded(n, false);
-  double spent = 0.0;
-
-  // Capped marginal of site s against the current state.
-  std::vector<double> gains;
-  auto capped_marginal = [&](SiteId s) {
-    const size_t cap =
-        CapacityCount(config.site_capacities[s], coverage.TC(s).size());
-    gains.clear();
-    coverage.TC(s).ForEach([&](const CoverEntry& e) {
-      const double score = psi.Score(e.dr_m, tau);
-      if (score > state.utility[e.id]) {
-        gains.push_back(score - state.utility[e.id]);
-      }
-    });
-    double marginal = 0.0;
-    if (gains.size() <= cap) {
-      for (double g : gains) marginal += g;
-    } else {
-      std::nth_element(gains.begin(), gains.begin() + cap, gains.end(),
-                       std::greater<>());
-      for (size_t i = 0; i < cap; ++i) marginal += gains[i];
-    }
-    return marginal;
-  };
-
-  while (true) {
-    SiteId best = kInvalidSite;
-    double best_ratio = 0.0;
-    const double remaining = config.budget - spent;
-    for (SiteId s = 0; s < n; ++s) {
-      if (excluded[s]) continue;
-      const double cost = config.site_costs[s];
-      NC_CHECK_GT(cost, 0.0);
-      if (cost > remaining) {
-        excluded[s] = true;
-        continue;
-      }
-      const double ratio = capped_marginal(s) / cost;
-      if (best == kInvalidSite || ratio > best_ratio) {
-        best = s;
-        best_ratio = ratio;
-      }
-    }
-    if (best == kInvalidSite || best_ratio <= 0.0) break;
-    // Serve the chosen site's top-cap trajectories.
-    const size_t cap =
-        CapacityCount(config.site_capacities[best], coverage.TC(best).size());
-    std::vector<std::pair<double, uint32_t>> ranked;
-    coverage.TC(best).ForEach([&](const CoverEntry& e) {
-      const double score = psi.Score(e.dr_m, tau);
-      if (score > state.utility[e.id]) {
-        ranked.emplace_back(score - state.utility[e.id], e.id);
-      }
-    });
-    std::sort(ranked.begin(), ranked.end(), std::greater<>());
-    if (ranked.size() > cap) ranked.resize(cap);
-    double gain = 0.0;
-    for (const auto& [g, t] : ranked) {
-      state.utility[t] += g;
-      gain += g;
-    }
-    excluded[best] = true;
-    spent += config.site_costs[best];
-    result.selection.sites.push_back(best);
-    result.selection.marginal_gains.push_back(gain);
-    result.selection.utility += gain;
-  }
-  result.total_cost = spent;
-
-  // Single-site guard against the ratio trap, with the capacity cap applied
-  // to the standalone utilities as well.
-  SiteId smax = kInvalidSite;
-  double smax_utility = 0.0;
-  UtilityState empty(coverage);
-  for (SiteId s = 0; s < n; ++s) {
-    if (config.site_costs[s] > config.budget) continue;
-    gains.clear();
-    coverage.TC(s).ForEach(
-        [&](const CoverEntry& e) { gains.push_back(psi.Score(e.dr_m, tau)); });
-    const size_t cap =
-        CapacityCount(config.site_capacities[s], coverage.TC(s).size());
-    double utility = 0.0;
-    if (gains.size() <= cap) {
-      for (double g : gains) utility += g;
-    } else {
-      std::nth_element(gains.begin(), gains.begin() + cap, gains.end(),
-                       std::greater<>());
-      for (size_t i = 0; i < cap; ++i) utility += gains[i];
-    }
-    if (smax == kInvalidSite || utility > smax_utility) {
-      smax = s;
-      smax_utility = utility;
-    }
-  }
-  if (smax != kInvalidSite && smax_utility > result.selection.utility) {
-    result.used_single_site_guard = true;
-    result.selection.sites = {smax};
-    result.selection.marginal_gains = {smax_utility};
-    result.selection.utility = smax_utility;
-    result.total_cost = config.site_costs[smax];
-  }
+  UtilityState state(coverage, psi);
+  const std::vector<double>& caps = config.site_capacities;
+  // The guard's standalone utilities carry the capacity cap too.
+  CostResult result = BudgetedGreedy(
+      coverage.num_sites(), config.site_costs, config.budget,
+      [&](SiteId s) { return state.CappedMarginal(s, caps[s]); },
+      [&](SiteId s) { return state.ApplyCapped(s, caps[s]).first; });
   result.selection.solve_seconds = timer.Seconds();
   return result;
 }
@@ -338,11 +342,13 @@ MarketShareResult MarketShareGreedy(const CoverageIndex& coverage,
   util::WallTimer timer;
   MarketShareResult result;
   const PreferenceFunction psi = PreferenceFunction::Binary();
-  UtilityState state(coverage);
+  UtilityState state(coverage, psi);
   const size_t n = coverage.num_sites();
   const size_t m = coverage.num_live_trajectories();
   const double target = config.beta * static_cast<double>(m);
-  std::vector<bool> selected(n, false);
+  const auto marginal = [&](SiteId s) { return state.Marginal(s); };
+  LazyGreedy lazy;
+  for (SiteId s = 0; s < n; ++s) lazy.Push(s, marginal(s));
 
   double covered = 0.0;
   while (covered + 1e-9 < target) {
@@ -350,21 +356,11 @@ MarketShareResult MarketShareGreedy(const CoverageIndex& coverage,
         result.selection.sites.size() >= config.max_sites) {
       break;
     }
-    SiteId best = kInvalidSite;
-    double best_marginal = 0.0;
-    for (SiteId s = 0; s < n; ++s) {
-      if (selected[s]) continue;
-      const double marginal = state.MarginalOf(coverage, psi, s);
-      if (best == kInvalidSite || marginal > best_marginal) {
-        best = s;
-        best_marginal = marginal;
-      }
-    }
-    if (best == kInvalidSite || best_marginal <= 0.0) break;  // saturated
-    selected[best] = true;
-    const double gain = state.Apply(coverage, psi, best);
+    const LazyGreedy::Pick best = lazy.PopBest(marginal, kKeepAll);
+    if (best.site == kInvalidSite || best.value <= 0.0) break;  // saturated
+    const double gain = state.Apply(best.site);
     covered += gain;
-    result.selection.sites.push_back(best);
+    result.selection.sites.push_back(best.site);
     result.selection.marginal_gains.push_back(gain);
   }
   result.selection.utility = covered;

@@ -9,6 +9,15 @@
 //    greedy, bound 1 + ln n.
 // (TOPS1/TOPS2/TOPS3 are preference-function choices, see preference.h;
 // existing services are a GreedyConfig field, see inc_greedy.h.)
+//
+// All four greedies pick each round's site by lazy (CELF) evaluation: a
+// site's value is re-computed only when it tops a heap of values from
+// earlier rounds. The marginals only shrink as the selection grows, and
+// each is summed in a fixed order (capacity: its top-cap gains in
+// descending order), so a stale value bounds the fresh one. The answers
+// are bit-identical to an eager rescan of every site in every round, ties
+// going to the smallest site id (variants.cc has the argument). The cost
+// solvers' s_max guard reuses the round-0 values as standalone utilities.
 #ifndef NETCLUS_TOPS_VARIANTS_H_
 #define NETCLUS_TOPS_VARIANTS_H_
 

@@ -176,31 +176,39 @@ TEST(Theorem7, AllNodeSitesCoverEveryTrajectoryInClusteredSpace) {
 }
 
 TEST(CostBound, GreedyWithGuardWithinHalfOneMinusInvE) {
-  // Brute-force budgeted optimum on tiny instances.
-  util::Rng rng(77);
-  for (int trial = 0; trial < 3; ++trial) {
-    const CoverageIndex cov = RandomInstance(700 + trial, 8, 25);
-    const PreferenceFunction psi = PreferenceFunction::Binary();
+  // Brute-force budgeted optimum on tiny instances, under every ψ shape: the
+  // s_max guard reads the greedy's round-0 marginals as standalone
+  // utilities, so it is checked wherever ψ is not 0/1 as well.
+  const size_t rounds = test::FuzzRounds(3);
+  for (size_t round = 0; round < rounds; ++round) {
+    const uint64_t seed = test::FuzzSeed(0xc057b0, round);
+    SCOPED_TRACE(test::SeedTrace(seed));
+    const CoverageIndex cov = RandomInstance(seed, 8, 25);
     CostConfig config;
     config.budget = 3.0;
-    config.site_costs = DrawNormalCosts(8, 1.0, 0.5, 0.3, 80 + trial);
-    const CostResult got = CostGreedy(cov, psi, config);
-    // Enumerate all subsets within budget.
-    double best = 0.0;
-    for (uint32_t mask = 0; mask < (1u << 8); ++mask) {
-      double cost = 0.0;
-      std::vector<SiteId> subset;
-      for (uint32_t s = 0; s < 8; ++s) {
-        if (mask & (1u << s)) {
-          cost += config.site_costs[s];
-          subset.push_back(s);
+    config.site_costs = DrawNormalCosts(8, 1.0, 0.5, 0.3, seed + 3);
+    for (const PreferenceFunction& psi :
+         {PreferenceFunction::Binary(), PreferenceFunction::Linear(),
+          PreferenceFunction::ConvexProbability(2.0)}) {
+      SCOPED_TRACE(psi.name());
+      const CostResult got = CostGreedy(cov, psi, config);
+      // Enumerate all subsets within budget.
+      double best = 0.0;
+      for (uint32_t mask = 0; mask < (1u << 8); ++mask) {
+        double cost = 0.0;
+        std::vector<SiteId> subset;
+        for (uint32_t s = 0; s < 8; ++s) {
+          if (mask & (1u << s)) {
+            cost += config.site_costs[s];
+            subset.push_back(s);
+          }
+        }
+        if (cost <= config.budget) {
+          best = std::max(best, UtilityOf(cov, psi, subset));
         }
       }
-      if (cost <= config.budget) {
-        best = std::max(best, UtilityOf(cov, psi, subset));
-      }
+      EXPECT_GE(got.selection.utility, 0.5 * (1.0 - 1.0 / M_E) * best - 1e-6);
     }
-    EXPECT_GE(got.selection.utility, 0.5 * (1.0 - 1.0 / M_E) * best - 1e-6);
   }
 }
 

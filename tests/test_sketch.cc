@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "sketch/fm_sketch.h"
@@ -75,6 +77,33 @@ TEST(FmSketch, MergeEqualsUnionSemantics) {
   // Merge in place agrees too.
   a.Merge(b);
   EXPECT_DOUBLE_EQ(a.Estimate(), both.Estimate());
+}
+
+TEST(FmSketch, PrehashedWordsMatchAdd) {
+  // AddHashed with CopyBit(x, CopySalt(seed, i)) per copy is Add(x): the
+  // hash-once path FM-greedy takes must set exactly the same bits.
+  for (const uint32_t copies : {1u, 30u, 64u}) {
+    for (const uint64_t seed : {0x5eedf00d5eedf00dULL, 7ULL}) {
+      FmSketch added(copies, seed), hashed(copies, seed);
+      std::vector<uint64_t> salts(copies);
+      for (uint32_t i = 0; i < copies; ++i) {
+        salts[i] = FmSketch::CopySalt(seed, i);
+      }
+      std::vector<uint32_t> words(copies);
+      for (uint64_t x = 0; x < 3000; x += 7) {
+        added.Add(x);
+        for (uint32_t i = 0; i < copies; ++i) {
+          words[i] = FmSketch::CopyBit(x, salts[i]);
+          EXPECT_EQ(words[i] & (words[i] - 1), 0u) << "not one-hot";
+        }
+        hashed.AddHashed(words);
+        FmSketch single(copies, seed);
+        single.Add(x);
+        ASSERT_TRUE(std::ranges::equal(single.words(), words)) << "x=" << x;
+      }
+      EXPECT_TRUE(std::ranges::equal(added.words(), hashed.words()));
+    }
+  }
 }
 
 TEST(FmSketch, UnionIsMonotone) {

@@ -1,13 +1,18 @@
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "test_helpers.h"
 #include "tops/coverage.h"
 #include "tops/inc_greedy.h"
 #include "tops/variants.h"
+#include "util/float_bits.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace netclus::tops {
 namespace {
@@ -206,6 +211,430 @@ TEST(MarketShareGreedy, MaxSitesCapStops) {
   config.max_sites = 2;
   const MarketShareResult got = MarketShareGreedy(cov, config);
   EXPECT_LE(got.selection.sites.size(), 2u);
+}
+
+// --- Lazy evaluation against the eager scans ---------------------------------
+//
+// The variant solvers pick each round's site by lazy (CELF) evaluation. The
+// oracles below are the eager scans that re-evaluate every remaining site in
+// every round, with capacity's top-cap gains summed in descending order.
+// Lazy must match them bit for bit: sites, every gain, utility, total cost,
+// the guard flag, served counts and the market-share outcome. Seeds follow
+// docs/testing.md (NETCLUS_TEST_SEED / NETCLUS_TEST_ROUNDS).
+
+namespace eager {
+
+size_t CapacityCount(double capacity, size_t tc_size) {
+  const double floored = std::floor(capacity);
+  if (!(floored > 0.0)) return 0;
+  return floored >= static_cast<double>(tc_size)
+             ? tc_size
+             : static_cast<size_t>(floored);
+}
+
+double TopCapSum(std::vector<double> gains, size_t cap) {
+  std::sort(gains.begin(), gains.end(), std::greater<>());
+  if (gains.size() > cap) gains.resize(cap);
+  double sum = 0.0;
+  for (double g : gains) sum += g;
+  return sum;
+}
+
+double Marginal(const CoverageIndex& cov, const PreferenceFunction& psi,
+                const std::vector<double>& utility, SiteId s) {
+  double gain = 0.0;
+  cov.TC(s).ForEach([&](const CoverEntry& e) {
+    const double score = psi.Score(e.dr_m, cov.tau_m());
+    if (score > utility[e.id]) gain += score - utility[e.id];
+  });
+  return gain;
+}
+
+double Apply(const CoverageIndex& cov, const PreferenceFunction& psi,
+             std::vector<double>* utility, SiteId s) {
+  double gain = 0.0;
+  cov.TC(s).ForEach([&](const CoverEntry& e) {
+    const double score = psi.Score(e.dr_m, cov.tau_m());
+    if (score > (*utility)[e.id]) {
+      gain += score - (*utility)[e.id];
+      (*utility)[e.id] = score;
+    }
+  });
+  return gain;
+}
+
+double CappedMarginal(const CoverageIndex& cov, const PreferenceFunction& psi,
+                      const std::vector<double>& utility, SiteId s,
+                      double capacity) {
+  std::vector<double> gains;
+  cov.TC(s).ForEach([&](const CoverEntry& e) {
+    const double score = psi.Score(e.dr_m, cov.tau_m());
+    if (score > utility[e.id]) gains.push_back(score - utility[e.id]);
+  });
+  return TopCapSum(std::move(gains), CapacityCount(capacity, cov.TC(s).size()));
+}
+
+std::pair<double, uint32_t> ApplyCapped(const CoverageIndex& cov,
+                                        const PreferenceFunction& psi,
+                                        std::vector<double>* utility, SiteId s,
+                                        double capacity) {
+  std::vector<std::pair<double, uint32_t>> ranked;
+  cov.TC(s).ForEach([&](const CoverEntry& e) {
+    const double score = psi.Score(e.dr_m, cov.tau_m());
+    if (score > (*utility)[e.id]) {
+      ranked.emplace_back(score - (*utility)[e.id], e.id);
+    }
+  });
+  std::sort(ranked.begin(), ranked.end(), std::greater<>());
+  const size_t cap = CapacityCount(capacity, cov.TC(s).size());
+  if (ranked.size() > cap) ranked.resize(cap);
+  double gain = 0.0;
+  for (const auto& [g, t] : ranked) {
+    (*utility)[t] += g;
+    gain += g;
+  }
+  return {gain, static_cast<uint32_t>(ranked.size())};
+}
+
+// Eager budgeted greedy: every round rescans every affordable site; then the
+// s_max guard over `standalone(s)`, computed afresh.
+template <typename MarginalFn, typename ApplyFn, typename StandaloneFn>
+CostResult Budgeted(size_t n, const std::vector<double>& costs, double budget,
+                    MarginalFn marginal, ApplyFn apply,
+                    StandaloneFn standalone) {
+  CostResult result;
+  std::vector<bool> excluded(n, false);
+  double spent = 0.0;
+  while (true) {
+    SiteId best = kInvalidSite;
+    double best_ratio = 0.0;
+    const double remaining = budget - spent;
+    for (SiteId s = 0; s < n; ++s) {
+      if (excluded[s]) continue;
+      if (costs[s] > remaining) {
+        excluded[s] = true;
+        continue;
+      }
+      const double ratio = marginal(s) / costs[s];
+      if (best == kInvalidSite || ratio > best_ratio) {
+        best = s;
+        best_ratio = ratio;
+      }
+    }
+    if (best == kInvalidSite || best_ratio <= 0.0) break;
+    const double gain = apply(best);
+    excluded[best] = true;
+    spent += costs[best];
+    result.selection.sites.push_back(best);
+    result.selection.marginal_gains.push_back(gain);
+    result.selection.utility += gain;
+  }
+  result.total_cost = spent;
+  SiteId smax = kInvalidSite;
+  double smax_utility = 0.0;
+  for (SiteId s = 0; s < n; ++s) {
+    if (costs[s] > budget) continue;
+    const double u = standalone(s);
+    if (smax == kInvalidSite || u > smax_utility) {
+      smax = s;
+      smax_utility = u;
+    }
+  }
+  if (smax != kInvalidSite && smax_utility > result.selection.utility) {
+    result.used_single_site_guard = true;
+    result.selection.sites = {smax};
+    result.selection.marginal_gains = {smax_utility};
+    result.selection.utility = smax_utility;
+    result.total_cost = costs[smax];
+  }
+  return result;
+}
+
+CostResult Cost(const CoverageIndex& cov, const PreferenceFunction& psi,
+                const CostConfig& config) {
+  std::vector<double> utility(cov.num_trajectories(), 0.0);
+  return Budgeted(
+      cov.num_sites(), config.site_costs, config.budget,
+      [&](SiteId s) { return Marginal(cov, psi, utility, s); },
+      [&](SiteId s) { return Apply(cov, psi, &utility, s); },
+      [&](SiteId s) { return cov.SiteWeight(s, psi); });
+}
+
+CostResult CostCapacity(const CoverageIndex& cov, const PreferenceFunction& psi,
+                        const CostCapacityConfig& config) {
+  std::vector<double> utility(cov.num_trajectories(), 0.0);
+  const std::vector<double>& caps = config.site_capacities;
+  return Budgeted(
+      cov.num_sites(), config.site_costs, config.budget,
+      [&](SiteId s) { return CappedMarginal(cov, psi, utility, s, caps[s]); },
+      [&](SiteId s) {
+        return ApplyCapped(cov, psi, &utility, s, caps[s]).first;
+      },
+      [&](SiteId s) {
+        // Every score of TC(s), zeros included, capped.
+        std::vector<double> scores;
+        cov.TC(s).ForEach([&](const CoverEntry& e) {
+          scores.push_back(psi.Score(e.dr_m, cov.tau_m()));
+        });
+        return TopCapSum(std::move(scores),
+                         CapacityCount(caps[s], cov.TC(s).size()));
+      });
+}
+
+CapacityResult Capacity(const CoverageIndex& cov, const PreferenceFunction& psi,
+                        const CapacityConfig& config) {
+  CapacityResult result;
+  std::vector<double> utility(cov.num_trajectories(), 0.0);
+  const size_t n = cov.num_sites();
+  std::vector<bool> selected(n, false);
+  const uint32_t k = static_cast<uint32_t>(std::min<size_t>(config.k, n));
+  for (uint32_t step = 0; step < k; ++step) {
+    SiteId best = kInvalidSite;
+    double best_marginal = -1.0;
+    for (SiteId s = 0; s < n; ++s) {
+      if (selected[s]) continue;
+      const double marginal =
+          CappedMarginal(cov, psi, utility, s, config.site_capacities[s]);
+      if (marginal > best_marginal) {
+        best_marginal = marginal;
+        best = s;
+      }
+    }
+    if (best == kInvalidSite) break;
+    selected[best] = true;
+    const auto [gain, served] =
+        ApplyCapped(cov, psi, &utility, best, config.site_capacities[best]);
+    result.selection.sites.push_back(best);
+    result.selection.marginal_gains.push_back(gain);
+    result.selection.utility += gain;
+    result.served_counts.push_back(served);
+  }
+  return result;
+}
+
+MarketShareResult MarketShare(const CoverageIndex& cov,
+                              const MarketShareConfig& config) {
+  MarketShareResult result;
+  const PreferenceFunction psi = PreferenceFunction::Binary();
+  std::vector<double> utility(cov.num_trajectories(), 0.0);
+  const size_t n = cov.num_sites();
+  const size_t m = cov.num_live_trajectories();
+  const double target = config.beta * static_cast<double>(m);
+  std::vector<bool> selected(n, false);
+  double covered = 0.0;
+  while (covered + 1e-9 < target) {
+    if (config.max_sites != 0 &&
+        result.selection.sites.size() >= config.max_sites) {
+      break;
+    }
+    SiteId best = kInvalidSite;
+    double best_marginal = 0.0;
+    for (SiteId s = 0; s < n; ++s) {
+      if (selected[s]) continue;
+      const double marginal = Marginal(cov, psi, utility, s);
+      if (best == kInvalidSite || marginal > best_marginal) {
+        best = s;
+        best_marginal = marginal;
+      }
+    }
+    if (best == kInvalidSite || best_marginal <= 0.0) break;
+    selected[best] = true;
+    const double gain = Apply(cov, psi, &utility, best);
+    covered += gain;
+    result.selection.sites.push_back(best);
+    result.selection.marginal_gains.push_back(gain);
+  }
+  result.selection.utility = covered;
+  result.covered_fraction = m == 0 ? 0.0 : covered / static_cast<double>(m);
+  result.reached_target = covered + 1e-9 >= target;
+  return result;
+}
+
+}  // namespace eager
+
+constexpr uint64_t kLazySeedBase = 0x1a2ec0deULL;
+
+// One seeded instance: either grid-walk covers with real detours, or
+// synthetic covers whose d_r values sit on a coarse grid of τ, so scores and
+// marginals tie often (and some TC lists are empty).
+CoverageIndex LazyInstance(uint64_t seed, util::Rng& rng) {
+  const double tau = rng.Uniform(300.0, 900.0);
+  if (seed % 2 == 0) {
+    return RandomInstance(seed, static_cast<uint32_t>(rng.UniformInt(1, 40)),
+                          static_cast<uint32_t>(rng.UniformInt(1, 100)), tau);
+  }
+  const size_t n = static_cast<size_t>(rng.UniformInt(1, 40));
+  const size_t m = static_cast<size_t>(rng.UniformInt(1, 120));
+  std::vector<std::vector<CoverEntry>> tc(n);
+  for (auto& cover : tc) {
+    const double density = rng.Uniform(0.0, 0.5);
+    for (uint32_t t = 0; t < m; ++t) {
+      if (rng.Uniform() >= density) continue;
+      const double dr = tau * static_cast<double>(rng.UniformInt(0, 8)) / 8.0;
+      cover.push_back({t, static_cast<float>(dr)});
+    }
+  }
+  return CoverageIndex::FromCovers(std::move(tc), m, m, tau);
+}
+
+PreferenceFunction DrawPsi(util::Rng& rng) {
+  switch (rng.UniformInt(3)) {
+    case 0:
+      return PreferenceFunction::Binary();
+    case 1:
+      return PreferenceFunction::Linear();
+    default:
+      return PreferenceFunction::ConvexProbability(rng.Uniform(1.0, 3.0));
+  }
+}
+
+// Unit costs (tie-heavy) or N(1, σ) costs with σ <= 1, floored at 0.1.
+std::vector<double> DrawCosts(size_t n, util::Rng& rng) {
+  if (rng.UniformInt(3) == 0) return std::vector<double>(n, 1.0);
+  const double sigma = rng.Uniform(0.0, 1.0);
+  return DrawNormalCosts(n, 1.0, sigma, 0.1, rng.Next());
+}
+
+// Below the cheapest site, above the total, or in between.
+double DrawBudget(const std::vector<double>& costs, util::Rng& rng) {
+  const double cheapest = *std::min_element(costs.begin(), costs.end());
+  const double total = std::accumulate(costs.begin(), costs.end(), 0.0);
+  switch (rng.UniformInt(4)) {
+    case 0:
+      return 0.5 * cheapest;
+    case 1:
+      return 1.5 * total;
+    case 2:
+      return static_cast<double>(rng.UniformInt(1, 6));
+    default:
+      return rng.Uniform(cheapest, total);
+  }
+}
+
+// Random, equal integer, zero or infinite capacities.
+std::vector<double> DrawCapacities(size_t n, util::Rng& rng) {
+  switch (rng.UniformInt(5)) {
+    case 0: {
+      std::vector<double> caps(n);
+      for (double& c : caps) c = rng.Uniform(0.0, 15.0);
+      return caps;
+    }
+    case 1:
+      return DrawNormalCapacities(n, 6.0, 4.0, rng.Next());
+    case 2:
+      return std::vector<double>(n, static_cast<double>(rng.UniformInt(1, 8)));
+    case 3:
+      return std::vector<double>(n, 0.0);
+    default:
+      return std::vector<double>(n, std::numeric_limits<double>::infinity());
+  }
+}
+
+void ExpectBitEqual(const Selection& got, const Selection& want) {
+  EXPECT_EQ(got.sites, want.sites);
+  ASSERT_EQ(got.marginal_gains.size(), want.marginal_gains.size());
+  for (size_t i = 0; i < got.marginal_gains.size(); ++i) {
+    EXPECT_EQ(util::DoubleBits(got.marginal_gains[i]),
+              util::DoubleBits(want.marginal_gains[i]))
+        << "step " << i;
+  }
+  EXPECT_EQ(util::DoubleBits(got.utility), util::DoubleBits(want.utility));
+}
+
+void ExpectBitEqual(const CostResult& got, const CostResult& want) {
+  ExpectBitEqual(got.selection, want.selection);
+  EXPECT_EQ(util::DoubleBits(got.total_cost),
+            util::DoubleBits(want.total_cost));
+  EXPECT_EQ(got.used_single_site_guard, want.used_single_site_guard);
+}
+
+TEST(LazyGreedy, CostMatchesEagerOracle) {
+  const size_t rounds = test::FuzzRounds(30);
+  for (size_t round = 0; round < rounds; ++round) {
+    const uint64_t seed = test::FuzzSeed(kLazySeedBase, round);
+    SCOPED_TRACE(test::SeedTrace(seed));
+    util::Rng rng(seed);
+    const CoverageIndex cov = LazyInstance(seed, rng);
+    for (int draw = 0; draw < 4; ++draw) {
+      const PreferenceFunction psi = DrawPsi(rng);
+      CostConfig config;
+      config.site_costs = DrawCosts(cov.num_sites(), rng);
+      config.budget = DrawBudget(config.site_costs, rng);
+      SCOPED_TRACE(util::StrFormat("draw %d psi=%s budget=%.17g", draw,
+                                   psi.name().c_str(), config.budget));
+      ExpectBitEqual(CostGreedy(cov, psi, config),
+                     eager::Cost(cov, psi, config));
+    }
+  }
+}
+
+TEST(LazyGreedy, CapacityMatchesEagerOracle) {
+  const size_t rounds = test::FuzzRounds(30);
+  for (size_t round = 0; round < rounds; ++round) {
+    const uint64_t seed = test::FuzzSeed(kLazySeedBase + 1, round);
+    SCOPED_TRACE(test::SeedTrace(seed));
+    util::Rng rng(seed);
+    const CoverageIndex cov = LazyInstance(seed, rng);
+    for (int draw = 0; draw < 4; ++draw) {
+      const PreferenceFunction psi = DrawPsi(rng);
+      CapacityConfig config;
+      config.k = static_cast<uint32_t>(rng.UniformInt(0, cov.num_sites() + 3));
+      config.site_capacities = DrawCapacities(cov.num_sites(), rng);
+      SCOPED_TRACE(util::StrFormat("draw %d psi=%s k=%u", draw,
+                                   psi.name().c_str(), config.k));
+      const CapacityResult got = CapacityGreedy(cov, psi, config);
+      const CapacityResult want = eager::Capacity(cov, psi, config);
+      ExpectBitEqual(got.selection, want.selection);
+      EXPECT_EQ(got.served_counts, want.served_counts);
+    }
+  }
+}
+
+TEST(LazyGreedy, CostCapacityMatchesEagerOracle) {
+  const size_t rounds = test::FuzzRounds(30);
+  for (size_t round = 0; round < rounds; ++round) {
+    const uint64_t seed = test::FuzzSeed(kLazySeedBase + 2, round);
+    SCOPED_TRACE(test::SeedTrace(seed));
+    util::Rng rng(seed);
+    const CoverageIndex cov = LazyInstance(seed, rng);
+    for (int draw = 0; draw < 4; ++draw) {
+      const PreferenceFunction psi = DrawPsi(rng);
+      CostCapacityConfig config;
+      config.site_costs = DrawCosts(cov.num_sites(), rng);
+      config.budget = DrawBudget(config.site_costs, rng);
+      config.site_capacities = DrawCapacities(cov.num_sites(), rng);
+      SCOPED_TRACE(util::StrFormat("draw %d psi=%s budget=%.17g", draw,
+                                   psi.name().c_str(), config.budget));
+      ExpectBitEqual(CostCapacityGreedy(cov, psi, config),
+                     eager::CostCapacity(cov, psi, config));
+    }
+  }
+}
+
+TEST(LazyGreedy, MarketShareMatchesEagerOracle) {
+  const size_t rounds = test::FuzzRounds(30);
+  for (size_t round = 0; round < rounds; ++round) {
+    const uint64_t seed = test::FuzzSeed(kLazySeedBase + 3, round);
+    SCOPED_TRACE(test::SeedTrace(seed));
+    util::Rng rng(seed);
+    const CoverageIndex cov = LazyInstance(seed, rng);
+    for (int draw = 0; draw < 4; ++draw) {
+      MarketShareConfig config;
+      config.beta = rng.Uniform(0.01, 0.99);
+      config.max_sites = rng.UniformInt(2) == 0
+                             ? 0u
+                             : static_cast<uint32_t>(
+                                   rng.UniformInt(1, cov.num_sites() + 2));
+      SCOPED_TRACE(util::StrFormat("draw %d beta=%.17g max_sites=%u", draw,
+                                   config.beta, config.max_sites));
+      const MarketShareResult got = MarketShareGreedy(cov, config);
+      const MarketShareResult want = eager::MarketShare(cov, config);
+      ExpectBitEqual(got.selection, want.selection);
+      EXPECT_EQ(util::DoubleBits(got.covered_fraction),
+                util::DoubleBits(want.covered_fraction));
+      EXPECT_EQ(got.reached_target, want.reached_target);
+    }
+  }
 }
 
 }  // namespace

@@ -201,11 +201,11 @@ int main(int argc, char** argv) {
       .Cell(serve_on_s > 0.0 ? serve_off_s / serve_on_s : 0.0, 2)
       .Cell(hit_rate, 2);
   table.PrintText(std::cout);
-  std::printf("exec stats: plan ewma %.1f us, cover ewma %.1f ms, solve "
-              "ewma %.1f ms\n",
-              ctx.stats.snapshot().plan.ewma_seconds * 1e6,
-              ctx.stats.snapshot().cover_build.ewma_seconds * 1e3,
-              ctx.stats.snapshot().solve.ewma_seconds * 1e3);
+  std::printf("exec stats: plan mean %.1f us, cover mean %.1f ms, solve "
+              "mean %.1f ms\n",
+              ctx.plan_seconds->MeanSeconds() * 1e6,
+              ctx.cover_build_seconds->MeanSeconds() * 1e3,
+              ctx.solve_seconds->MeanSeconds() * 1e3);
 
   const std::string json_path = bench::JsonOutPath(argc, argv, "BENCH_exec.json");
   std::ofstream json(json_path);

@@ -160,9 +160,9 @@ std::vector<index::QueryResult> Engine::TopKBatch(
       .ExecuteBatch(plans, options_.threads);
 }
 
-exec::StatsRegistry::Snapshot Engine::ExecStats() const {
+exec::ExecStats Engine::ExecStats() const {
   if (ctx_ == nullptr) return {};
-  return ctx_->stats.snapshot();
+  return ctx_->Read();
 }
 
 std::string Engine::DumpMetrics(obs::ExportFormat format) const {

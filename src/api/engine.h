@@ -186,10 +186,11 @@ class Engine {
   std::vector<index::QueryResult> TopKBatch(
       std::span<const QuerySpec> specs) const;
 
-  /// Planner/executor statistics for this engine's online queries (stage
-  /// EWMA latencies, per-instance cover builds, sharing counters). Empty
-  /// before BuildIndex; reset when the index is rebuilt or reloaded.
-  exec::StatsRegistry::Snapshot ExecStats() const;
+  /// Planner/executor statistics for this engine's online queries (per
+  /// stage sample count and total seconds, sharing counters): a read of
+  /// the instruments DumpMetrics exports. Empty before BuildIndex; reset
+  /// when the index is rebuilt or reloaded.
+  exec::ExecStats ExecStats() const;
 
   /// Exports this engine's metrics registry (stage latency histograms,
   /// cover sharing/shedding counters) as Prometheus text or JSON. Empty
@@ -264,7 +265,7 @@ class Engine {
   std::unique_ptr<tops::SiteSet> sites_;
   std::unique_ptr<traj::MapMatcher> matcher_;
   std::unique_ptr<index::MultiIndex> index_;
-  /// Stats, metrics and warn-once state of the online queries; replaced
+  /// Metrics and warn-once state of the online queries; replaced
   /// together with the index by BuildIndex and LoadIndexFromFile.
   std::unique_ptr<exec::ExecContext> ctx_;
 };

@@ -63,13 +63,13 @@ CoverPtr Executor::ObtainCover(const QueryPlan& plan, uint32_t build_threads,
   const auto build = [&]() -> CoverPtr {
     auto cover = std::make_shared<BuiltCover>(
         BuildCover(*index_, *store_, plan.tau_m, plan.instance, build_threads));
-    ctx_->stats.RecordCoverBuild(plan.instance, cover->build_seconds,
-                                 cover->bytes);
+    ctx_->cover_build_seconds->Record(cover->build_seconds);
+    ctx_->covers_built->Increment();
     return cover;
   };
   if (hooks_.acquire) {
     CoverPtr cover = hooks_.acquire(plan.cover_key(), build, reused);
-    if (*reused) ctx_->stats.RecordCoverShared();
+    if (*reused) ctx_->covers_shared->Increment();
     return cover;
   }
   *reused = false;
@@ -112,7 +112,7 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
         clustered = FmGreedy(cover.approx, fm_config).selection;
       } else {
         if (plan.use_fm && plan.psi.is_binary()) {
-          ctx_->stats.RecordFmFallback();
+          ctx_->fm_fallbacks->Increment();
           if (!ctx_->fm_fallback_warned.exchange(true)) {
             // Once per engine (not per call site): the flag lives in the
             // shared ExecContext, so NC_LOG_WARNING_ONCE would be wrong —
@@ -154,7 +154,7 @@ tops::Selection Executor::SolveStage(const QueryPlan& plan,
     }
   }
   *stage_seconds = timer.Seconds();
-  ctx_->stats.RecordSolve(*stage_seconds);
+  ctx_->solve_seconds->Record(*stage_seconds);
   return clustered;
 }
 
@@ -179,7 +179,7 @@ index::QueryResult Executor::Assemble(const QueryPlan& plan,
   out.cover_build_seconds = cover_seconds;
   out.transient_bytes = cover_bytes;
   out.cover_shared = cover_shared;
-  ctx_->stats.RecordAssemble(timer.Seconds());
+  ctx_->assemble_seconds->Record(timer.Seconds());
   return out;
 }
 
@@ -266,7 +266,7 @@ std::vector<index::QueryResult> Executor::ExecuteBatch(
     const bool shared = from_cache || group_size[g] > 1;
     // Every non-leader solve reuses the group's cover (the leader's own
     // cache reuse, if any, was already counted in ObtainCover).
-    if (i != group_leader[g]) ctx_->stats.RecordCoverShared();
+    if (i != group_leader[g]) ctx_->covers_shared->Increment();
     double solve_seconds = 0.0;
     tops::Selection clustered = SolveStage(plan, cover, &solve_seconds);
     const double cover_seconds =

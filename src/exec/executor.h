@@ -58,7 +58,8 @@ struct CoverHooks {
 class Executor {
  public:
   /// All pointers are borrowed and must outlive the executor. `ctx`
-  /// carries the stats registry and warn-once state of the owning engine.
+  /// carries the stage instruments and warn-once state of the owning
+  /// engine.
   Executor(const index::MultiIndex* index, const traj::TrajectoryStore* store,
            const tops::SiteSet* sites, ExecContext* ctx,
            CoverHooks hooks = {});

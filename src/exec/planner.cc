@@ -53,7 +53,7 @@ QueryPlan Planner::Plan(const PlanRequest& request,
   plan.threads = batch_size >= resolved ? 1 : request.threads;
 
   plan.key = CanonicalPlanKey(request, plan.instance);
-  if (ctx_ != nullptr) ctx_->stats.RecordPlan(timer.Seconds());
+  if (ctx_ != nullptr) ctx_->plan_seconds->Record(timer.Seconds());
   // Level pre-check keeps the hot path free of the message construction
   // (NC_SLOG builds its line unconditionally).
   if (util::GetLogLevel() <= util::LogLevel::kTrace) {

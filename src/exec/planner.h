@@ -14,7 +14,7 @@
 //    smaller than the thread budget, each plan keeps the full budget for
 //    its inner loops. Either way results are bit-identical (every stage
 //    is deterministic at any thread count), so allocation is purely a
-//    latency decision. The StatsRegistry's EWMA stage latencies are
+//    latency decision. The ExecContext's stage latency histograms are
 //    exported alongside so operators can see what the allocation costs.
 #ifndef NETCLUS_EXEC_PLANNER_H_
 #define NETCLUS_EXEC_PLANNER_H_
@@ -29,8 +29,8 @@ namespace netclus::exec {
 
 class Planner {
  public:
-  /// `ctx` (not owned, must outlive the planner) carries the stats
-  /// registry the plan stage reports into.
+  /// `ctx` (not owned, must outlive the planner) carries the plan-stage
+  /// histogram the planner records into.
   explicit Planner(ExecContext* ctx) : ctx_(ctx) {}
 
   /// Plans one request against `index`. `batch_size` is the number of

@@ -124,101 +124,49 @@ void AppendJsonHistogram(std::string* out,
 
 }  // namespace
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
-MetricsRegistry::Entry* MetricsRegistry::FindOrNull(const std::string& name,
-                                                    const Labels& labels) {
+MetricsRegistry::Entry* MetricsRegistry::FindOrAdd(const std::string& name,
+                                                   Labels labels,
+                                                   const std::string& help,
+                                                   Kind kind) {
   for (auto& e : entries_) {
     if (e->name == name && e->labels == labels) return e.get();
   }
-  return nullptr;
+  auto entry = std::make_unique<Entry>();
+  entry->name = name;
+  entry->labels = std::move(labels);
+  entry->help = help;
+  entry->kind = kind;
+  if (kind == Kind::kCounter) entry->counter = std::make_unique<Counter>();
+  if (kind == Kind::kHistogram) {
+    entry->histogram = std::make_unique<util::LatencyHistogram>();
+  }
+  entries_.push_back(std::move(entry));
+  return entries_.back().get();
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name, Labels labels,
                                      const std::string& help) {
   const nc::MutexLock lock(mu_);
-  if (Entry* e = FindOrNull(name, labels)) return e->counter.get();
-  auto entry = std::make_unique<Entry>();
-  entry->name = name;
-  entry->labels = std::move(labels);
-  entry->help = help;
-  entry->kind = Kind::kCounter;
-  entry->counter = std::make_unique<Counter>();
-  Counter* out = entry->counter.get();
-  entries_.push_back(std::move(entry));
-  return out;
+  return FindOrAdd(name, std::move(labels), help, Kind::kCounter)
+      ->counter.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name, Labels labels,
-                                 const std::string& help) {
+util::LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name,
+                                                      Labels labels,
+                                                      const std::string& help) {
   const nc::MutexLock lock(mu_);
-  if (Entry* e = FindOrNull(name, labels)) return e->gauge.get();
-  auto entry = std::make_unique<Entry>();
-  entry->name = name;
-  entry->labels = std::move(labels);
-  entry->help = help;
-  entry->kind = Kind::kGauge;
-  entry->gauge = std::make_unique<Gauge>();
-  Gauge* out = entry->gauge.get();
-  entries_.push_back(std::move(entry));
-  return out;
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         Labels labels,
-                                         const std::string& help) {
-  const nc::MutexLock lock(mu_);
-  if (Entry* e = FindOrNull(name, labels)) return e->histogram.get();
-  auto entry = std::make_unique<Entry>();
-  entry->name = name;
-  entry->labels = std::move(labels);
-  entry->help = help;
-  entry->kind = Kind::kHistogram;
-  entry->histogram = std::make_unique<Histogram>();
-  Histogram* out = entry->histogram.get();
-  entries_.push_back(std::move(entry));
-  return out;
+  return FindOrAdd(name, std::move(labels), help, Kind::kHistogram)
+      ->histogram.get();
 }
 
 void MetricsRegistry::RegisterProvider(const std::string& name, Labels labels,
                                        const std::string& help, bool counter,
                                        std::function<double()> fn) {
   const nc::MutexLock lock(mu_);
-  if (Entry* e = FindOrNull(name, labels)) {
-    e->kind = Kind::kProvider;
-    e->provider_is_counter = counter;
-    e->provider = std::move(fn);
-    return;
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->name = name;
-  entry->labels = std::move(labels);
-  entry->help = help;
-  entry->kind = Kind::kProvider;
-  entry->provider_is_counter = counter;
-  entry->provider = std::move(fn);
-  entries_.push_back(std::move(entry));
-}
-
-void MetricsRegistry::RegisterHistogramView(
-    const std::string& name, Labels labels, const std::string& help,
-    const util::LatencyHistogram* hist) {
-  const nc::MutexLock lock(mu_);
-  if (Entry* e = FindOrNull(name, labels)) {
-    e->kind = Kind::kHistogramView;
-    e->hist_view = hist;
-    return;
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->name = name;
-  entry->labels = std::move(labels);
-  entry->help = help;
-  entry->kind = Kind::kHistogramView;
-  entry->hist_view = hist;
-  entries_.push_back(std::move(entry));
+  Entry* e = FindOrAdd(name, std::move(labels), help, Kind::kProvider);
+  e->kind = Kind::kProvider;
+  e->provider_is_counter = counter;
+  e->provider = std::move(fn);
 }
 
 size_t MetricsRegistry::size() const {
@@ -229,7 +177,7 @@ size_t MetricsRegistry::size() const {
 std::string MetricsRegistry::Export(ExportFormat format) const {
   // Snapshot each entry under the lock. Entries are never destroyed while
   // the registry lives and the owned instruments are immutable atomics,
-  // but kind/provider/hist_view can be *replaced* by a concurrent
+  // but kind/provider can be *replaced* by a concurrent
   // re-registration — copy them here and only invoke the provider copies
   // after the lock is dropped (a provider may take other locks or even
   // touch this registry).
@@ -238,15 +186,14 @@ std::string MetricsRegistry::Export(ExportFormat format) const {
     Kind kind;
     bool provider_is_counter;
     std::function<double()> provider;
-    const util::LatencyHistogram* hist_view;
   };
   std::vector<Snap> sorted;
   {
     const nc::MutexLock lock(mu_);
     sorted.reserve(entries_.size());
     for (const auto& e : entries_) {
-      sorted.push_back(Snap{e.get(), e->kind, e->provider_is_counter,
-                            e->provider, e->hist_view});
+      sorted.push_back(
+          Snap{e.get(), e->kind, e->provider_is_counter, e->provider});
     }
   }
   std::sort(sorted.begin(), sorted.end(), [](const Snap& a, const Snap& b) {
@@ -259,14 +206,12 @@ std::string MetricsRegistry::Export(ExportFormat format) const {
     const std::string* last_family = nullptr;
     for (const Snap& s : sorted) {
       const Entry* e = s.entry;
-      const bool histo =
-          s.kind == Kind::kHistogram || s.kind == Kind::kHistogramView;
       if (last_family == nullptr || *last_family != e->name) {
         if (!e->help.empty()) {
           out += "# HELP " + e->name + " " + e->help + "\n";
         }
         const char* type = "gauge";
-        if (histo) {
+        if (s.kind == Kind::kHistogram) {
           type = "histogram";
         } else if (s.kind == Kind::kCounter ||
                    (s.kind == Kind::kProvider && s.provider_is_counter)) {
@@ -280,20 +225,12 @@ std::string MetricsRegistry::Export(ExportFormat format) const {
           out += e->name + PromLabels(e->labels) + " " +
                  std::to_string(e->counter->Value()) + "\n";
           break;
-        case Kind::kGauge:
-          out += e->name + PromLabels(e->labels) + " " +
-                 FormatDouble(e->gauge->Value()) + "\n";
-          break;
         case Kind::kProvider:
           out += e->name + PromLabels(e->labels) + " " +
                  FormatDouble(s.provider ? s.provider() : 0.0) + "\n";
           break;
         case Kind::kHistogram:
-          AppendPromHistogram(&out, e->name, e->labels,
-                              e->histogram->view());
-          break;
-        case Kind::kHistogramView:
-          AppendPromHistogram(&out, e->name, e->labels, *s.hist_view);
+          AppendPromHistogram(&out, e->name, e->labels, *e->histogram);
           break;
       }
     }
@@ -314,9 +251,6 @@ std::string MetricsRegistry::Export(ExportFormat format) const {
         out += "\"type\":\"counter\",\"value\":" +
                std::to_string(e->counter->Value());
         break;
-      case Kind::kGauge:
-        out += "\"type\":\"gauge\",\"value\":" + JsonDouble(e->gauge->Value());
-        break;
       case Kind::kProvider:
         out += std::string("\"type\":\"") +
                (s.provider_is_counter ? "counter" : "gauge") +
@@ -324,11 +258,7 @@ std::string MetricsRegistry::Export(ExportFormat format) const {
         break;
       case Kind::kHistogram:
         out += "\"type\":\"histogram\",";
-        AppendJsonHistogram(&out, e->histogram->view());
-        break;
-      case Kind::kHistogramView:
-        out += "\"type\":\"histogram\",";
-        AppendJsonHistogram(&out, *s.hist_view);
+        AppendJsonHistogram(&out, *e->histogram);
         break;
     }
     out += "}";

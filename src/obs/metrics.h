@@ -1,17 +1,18 @@
-// Metrics registry: named Counter / Gauge / Histogram instruments with an
-// export path (Prometheus text exposition + JSON).
+// Metrics registry: named Counter / Histogram instruments plus polled
+// providers, with an export path (Prometheus text exposition + JSON).
 //
 // Two ways to get a value into the registry:
 //
-//  1. Owned instruments — `GetCounter`/`GetGauge`/`GetHistogram` return a
-//     stable pointer to an instrument the registry owns; hot paths bump it
-//     directly (relaxed atomics, no locks).
-//  2. Providers — `RegisterProvider` / `RegisterHistogramView` attach a
-//     callback (or an existing util::LatencyHistogram) that is *polled at
-//     export time*. This is how the serving structs (caches, scheduler,
-//     admission counters) publish without changing their hot paths: the
-//     counters they already keep become the source of truth and the
-//     registry reads them when someone asks.
+//  1. Owned instruments — `GetCounter`/`GetHistogram` return a stable
+//     pointer to an instrument the registry owns; hot paths bump it
+//     directly (relaxed atomics, no locks). The histogram type is
+//     util::LatencyHistogram, the repo's one histogram.
+//  2. Providers — `RegisterProvider` attaches a callback that is *polled
+//     at export time*, typed counter or gauge. This is how the serving
+//     structs (caches, scheduler, update pipeline, standing queries)
+//     publish without changing their hot paths: the stats they already
+//     keep stay the source of truth and the registry reads them when
+//     someone asks.
 //
 // Registration is idempotent on (name, labels): asking again returns the
 // same instrument. Export output is sorted by name then labels so golden
@@ -51,34 +52,6 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Point-in-time value. Set/Add are lock-free; Add uses a CAS loop because
-/// fetch_add on atomic<double> needs C++20.
-class Gauge {
- public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(double delta) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Latency histogram instrument; thin wrapper over util::LatencyHistogram
-/// so exporters can reuse its geometric bucket layout.
-class Histogram {
- public:
-  void Observe(double seconds) { hist_.Record(seconds); }
-  const util::LatencyHistogram& view() const { return hist_; }
-
- private:
-  util::LatencyHistogram hist_;
-};
-
 enum class ExportFormat { kPrometheusText, kJson };
 
 class MetricsRegistry {
@@ -87,17 +60,14 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Process-wide registry for code with no engine/server context.
-  static MetricsRegistry& Global();
-
   /// Returns the instrument registered under (name, labels), creating it on
   /// first use. Pointers stay valid for the registry's lifetime.
   Counter* GetCounter(const std::string& name, Labels labels = {},
                       const std::string& help = "") EXCLUDES(mu_);
-  Gauge* GetGauge(const std::string& name, Labels labels = {},
-                  const std::string& help = "") EXCLUDES(mu_);
-  Histogram* GetHistogram(const std::string& name, Labels labels = {},
-                          const std::string& help = "") EXCLUDES(mu_);
+  util::LatencyHistogram* GetHistogram(const std::string& name,
+                                       Labels labels = {},
+                                       const std::string& help = "")
+      EXCLUDES(mu_);
 
   /// Registers a polled value: `fn` runs at export time on the exporting
   /// thread. `counter` selects the Prometheus type (counter vs gauge).
@@ -105,13 +75,6 @@ class MetricsRegistry {
   void RegisterProvider(const std::string& name, Labels labels,
                         const std::string& help, bool counter,
                         std::function<double()> fn) EXCLUDES(mu_);
-
-  /// Exports an existing LatencyHistogram (owned elsewhere, must outlive
-  /// the registry entry) as a histogram family without copying samples.
-  void RegisterHistogramView(const std::string& name, Labels labels,
-                             const std::string& help,
-                             const util::LatencyHistogram* hist)
-      EXCLUDES(mu_);
 
   std::string Export(ExportFormat format) const EXCLUDES(mu_);
   std::string ExportPrometheus() const {
@@ -123,11 +86,11 @@ class MetricsRegistry {
   size_t size() const EXCLUDES(mu_);
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kProvider, kHistogramView };
+  enum class Kind { kCounter, kHistogram, kProvider };
 
   // name/labels/help and the owned instruments are immutable once the
-  // entry is created; kind, provider_is_counter, provider and hist_view
-  // can be *replaced* by re-registration and must only be read under mu_
+  // entry is created; kind, provider_is_counter and provider can be
+  // *replaced* by re-registration and must only be read under mu_
   // (Export copies them into a snapshot before invoking anything).
   struct Entry {
     std::string name;
@@ -136,14 +99,14 @@ class MetricsRegistry {
     Kind kind;
     bool provider_is_counter = false;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    std::unique_ptr<util::LatencyHistogram> histogram;
     std::function<double()> provider;
-    const util::LatencyHistogram* hist_view = nullptr;
   };
 
-  Entry* FindOrNull(const std::string& name, const Labels& labels)
-      REQUIRES(mu_);
+  /// The entry registered under (name, labels); a new entry of `kind`
+  /// (with its owned instrument) when there is none.
+  Entry* FindOrAdd(const std::string& name, Labels labels,
+                   const std::string& help, Kind kind) REQUIRES(mu_);
 
   mutable nc::Mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_ GUARDED_BY(mu_);

@@ -6,8 +6,6 @@
 #include <functional>
 #include <thread>
 
-#include "util/flags.h"
-
 namespace netclus::obs {
 
 namespace {
@@ -167,19 +165,8 @@ std::vector<Span> SpanRing::Snapshot() const {
   return out;
 }
 
-Tracer::Tracer()
-    : Tracer(util::GetEnvDouble("NETCLUS_TRACE_SAMPLE", 0.01),
-             static_cast<uint64_t>(util::GetEnvInt("NETCLUS_TRACE_SEED", 0)),
-             static_cast<size_t>(
-                 util::GetEnvInt("NETCLUS_TRACE_RING", 8192))) {}
-
 Tracer::Tracer(double sample_rate, uint64_t seed, size_t ring_capacity)
     : ring_(ring_capacity), sample_rate_(sample_rate), seed_(seed) {}
-
-Tracer& Tracer::Global() {
-  static Tracer* tracer = new Tracer();
-  return *tracer;
-}
 
 void Tracer::SetSampleRate(double rate) {
   if (!(rate >= 0.0)) rate = 0.0;

@@ -4,7 +4,7 @@
 //
 // Sampling model:
 //  - Head sampling: each request draws a trace id; a deterministic hash of
-//    (trace_id ^ seed) against NETCLUS_TRACE_SAMPLE decides up-front
+//    (trace_id ^ seed) against the sample rate decides up-front
 //    whether the request records full per-stage spans. Deterministic so
 //    tests can pin the seed and know exactly which ids sample.
 //  - Tail keep: requests that finish slow / shed / errored but were NOT
@@ -108,16 +108,10 @@ class SpanRing {
   std::atomic<uint64_t> head_{0};
 };
 
-/// Owns the ring + sampling state. One per server; Global() for code with
-/// no server context.
+/// Owns the ring + sampling state. One per server.
 class Tracer {
  public:
-  /// Reads NETCLUS_TRACE_SAMPLE (fraction in [0,1], default 0.01) and
-  /// NETCLUS_TRACE_SEED (default 0) at construction.
-  Tracer();
   Tracer(double sample_rate, uint64_t seed, size_t ring_capacity = 8192);
-
-  static Tracer& Global();
 
   /// Draws the next request/trace id (monotonic, starts at 1).
   uint64_t NextTraceId() {

@@ -25,6 +25,11 @@ Lane LaneOf(Priority priority) {
 
 uint8_t LaneIdx(Lane lane) { return static_cast<uint8_t>(lane); }
 
+// Worker threads per served read (PlanRequest::threads). Many clients
+// submit concurrently and each read runs as scheduler tasks: the
+// concurrent clients are the parallelism, so a read plans on one thread.
+constexpr uint32_t kReadThreads = 1;
+
 const char* kLaneNames[] = {"fast", "normal", "heavy"};
 const char* kPriorityNames[] = {"interactive", "normal", "best_effort"};
 
@@ -107,7 +112,21 @@ NetClusServer::NetClusServer(const Engine& engine, const ServerOptions& options)
     : options_(options),
       cache_(options.cache),
       cover_cache_(options.cover_cache),
-      ctx_(std::make_shared<exec::ExecContext>()) {
+      ctx_(std::make_shared<exec::ExecContext>()),
+      latency_(ctx_->metrics.GetHistogram("netclus_serve_latency_seconds", {},
+                                          "End-to-end kOk serving latency")),
+      queries_served_(
+          ctx_->metrics.GetCounter("netclus_serve_queries_total", {},
+                                   "kOk completions (fresh or stale)")),
+      slow_queries_(ctx_->metrics.GetCounter(
+          "netclus_serve_slow_queries_total", {},
+          "Completions at or above the slow-query threshold")),
+      carryover_publishes_(ctx_->metrics.GetCounter(
+          "netclus_carryover_publishes_total", {},
+          "Publishes processed by delta-aware cache carryover")),
+      carryover_clean_partitions_(ctx_->metrics.GetCounter(
+          "netclus_carryover_clean_partitions_total", {},
+          "Untouched instance partitions across those publishes")) {
   NC_CHECK(engine.index_built()) << "call Engine::BuildIndex() before Serve()";
   // Snapshots are fully self-contained: the network is copied once here
   // (and shared by every subsequent version), the mutable parts are
@@ -198,7 +217,7 @@ void NetClusServer::Enqueue(std::shared_ptr<AsyncState> state) {
   if (admitted_[slot].fetch_add(1, std::memory_order_acq_rel) >=
       options_.admission_capacity[slot]) {
     admitted_[slot].fetch_sub(1, std::memory_order_acq_rel);
-    ctx_->stats.RecordShedOverload();
+    ctx_->shed_overload->Increment();
     state->response.shed = true;
     Complete(state, StatusCode::kOverloaded);
     return;
@@ -221,9 +240,9 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
                          obs::TraceNowNs());
   };
   r.queue_seconds = state->timer.Seconds();
-  ctx_->stats.RecordQueueWait(r.queue_seconds);
+  ctx_->queue_wait_seconds->Record(r.queue_seconds);
   if (state->DeadlineExpired()) {
-    ctx_->stats.RecordShedDeadline();
+    ctx_->shed_deadline->Increment();
     r.shed = true;
     end_admit_span();
     Complete(state, StatusCode::kDeadlineExceeded);
@@ -239,7 +258,7 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
   try {
     const exec::Planner planner(ctx_.get());
     state->plan =
-        planner.Plan(state->canon.ToRequest(options_.query_threads),
+        planner.Plan(state->canon.ToRequest(kReadThreads),
                      state->snap->index(), /*batch_size=*/1);
     exec::Executor(&state->snap->index(), &state->snap->store(),
                    &state->snap->sites(), ctx_.get())
@@ -269,7 +288,7 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
   // from ever waiting behind queued builds.
   if (std::optional<exec::CoverPtr> cover =
           cover_cache_.TryGet(version, cover_key)) {
-    ctx_->stats.RecordCoverShared();
+    ctx_->covers_shared->Increment();
     state->trace.AddFlags(obs::kFlagCoverShared);
     end_admit_span();
     FinishOnCover(state, state->snap, *cover, /*cover_reused=*/true,
@@ -295,7 +314,7 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
         r.stale = served_version != version;
         r.snapshot_version = served_version;
         r.snapshot = registry_.AcquireVersion(served_version);
-        if (r.stale) ctx_->stats.RecordStaleServed();
+        if (r.stale) ctx_->stale_served->Increment();
         end_admit_span();
         Complete(state, StatusCode::kOk);
         return;
@@ -304,7 +323,7 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
     if (std::optional<exec::CoverPtr> cover = cover_cache_.TryGet(
             version, cover_key, max_lag, &served_version)) {
       if (SnapshotPtr old_snap = registry_.AcquireVersion(served_version)) {
-        ctx_->stats.RecordCoverShared();
+        ctx_->covers_shared->Increment();
         state->trace.AddFlags(obs::kFlagCoverShared);
         r.shed = true;
         end_admit_span();
@@ -325,7 +344,7 @@ void NetClusServer::StageAdmit(const std::shared_ptr<AsyncState>& state) {
 void NetClusServer::StageBuild(const std::shared_ptr<AsyncState>& state) {
   state->lane = LaneIdx(Lane::kHeavy);
   if (state->DeadlineExpired()) {
-    ctx_->stats.RecordShedDeadline();
+    ctx_->shed_deadline->Increment();
     state->response.shed = true;
     Complete(state, StatusCode::kDeadlineExceeded);
     return;
@@ -385,7 +404,7 @@ void NetClusServer::FinishOnCover(const std::shared_ptr<AsyncState>& state,
   r.snapshot = snap;
   r.snapshot_version = snap->version();
   r.stale = stale;
-  if (stale) ctx_->stats.RecordStaleServed();
+  if (stale) ctx_->stale_served->Increment();
   state->trace.AddSpan(obs::SpanName::kFinish, state->lane, exec_end,
                        obs::TraceNowNs());
   Complete(state, StatusCode::kOk);
@@ -402,8 +421,8 @@ void NetClusServer::Complete(const std::shared_ptr<AsyncState>& state,
     state->holds_slot = false;
   }
   if (status == StatusCode::kOk) {
-    latency_.Record(r.latency_seconds);
-    queries_served_.fetch_add(1, std::memory_order_relaxed);
+    latency_->Record(r.latency_seconds);
+    queries_served_->Increment();
   }
   if (r.cache_hit) state->trace.AddFlags(obs::kFlagCacheHit);
   if (r.stale) state->trace.AddFlags(obs::kFlagStale);
@@ -417,7 +436,7 @@ void NetClusServer::Complete(const std::shared_ptr<AsyncState>& state,
                       slow || r.shed || status != StatusCode::kOk,
                       state->queue_end_ns);
   if (slow) {
-    if (slow_queries_ != nullptr) slow_queries_->Increment();
+    slow_queries_->Increment();
     NC_SLOG_WARNING("slow_query")
         .Kv("trace_id", state->trace.trace_id())
         .Kv("latency_ms", r.latency_seconds * 1e3)
@@ -439,37 +458,25 @@ void NetClusServer::Complete(const std::shared_ptr<AsyncState>& state,
 
 // --- standing-query evaluator ------------------------------------------------
 
-ServeResult NetClusServer::AnswerInline(const Engine::QuerySpec& spec,
-                                        const SnapshotPtr& snap) {
-  util::WallTimer timer;
-  ServeResult out;
-  out.snapshot = snap;
-  out.snapshot_version = snap->version();
+index::QueryResult NetClusServer::AnswerInline(const Engine::QuerySpec& spec,
+                                               const SnapshotPtr& snap) {
   const Engine::QuerySpec canon = CanonicalizeSpec(spec);
   try {
     const exec::Planner planner(ctx_.get());
-    const exec::QueryPlan plan =
-        planner.Plan(canon.ToRequest(options_.query_threads), snap->index(),
-                     /*batch_size=*/1);
+    const exec::QueryPlan plan = planner.Plan(
+        canon.ToRequest(kReadThreads), snap->index(), /*batch_size=*/1);
     const exec::Executor executor(&snap->index(), &snap->store(),
                                   &snap->sites(), ctx_.get(),
                                   CoverHooksAt(snap->version()));
     const auto solve = [&] { return executor.Execute(plan); };
-    out.result = plan.cacheable ? cache_.GetOrBuild(snap->version(), plan.key,
-                                                    solve, &out.cache_hit)
-                                : solve();
+    bool cache_hit = false;
+    return plan.cacheable ? cache_.GetOrBuild(snap->version(), plan.key,
+                                              solve, &cache_hit)
+                          : solve();
   } catch (const std::exception& e) {
     NC_SLOG_WARNING("invalid_spec").Kv("what", e.what());
-    out.snapshot = nullptr;
-    out.snapshot_version = 0;
-    out.status = StatusCode::kInvalidSpec;
-    out.latency_seconds = timer.Seconds();
-    return out;
+    return {};
   }
-  out.latency_seconds = timer.Seconds();
-  latency_.Record(out.latency_seconds);
-  queries_served_.fetch_add(1, std::memory_order_relaxed);
-  return out;
 }
 
 // --- writes / lifecycle -------------------------------------------------------
@@ -506,9 +513,9 @@ exec::CoverHooks NetClusServer::CoverHooksAt(uint64_t version) {
 void NetClusServer::OnPublish(uint64_t old_version, uint64_t new_version,
                               const DeltaSummary& delta) {
   if (options_.carryover) {
-    carryover_publishes_.fetch_add(1, std::memory_order_relaxed);
-    carryover_clean_partitions_.fetch_add(
-        delta.dirty.size() - delta.DirtyCount(), std::memory_order_relaxed);
+    carryover_publishes_->Increment();
+    carryover_clean_partitions_->Increment(delta.dirty.size() -
+                                           delta.DirtyCount());
     // Covers first: a carried query-cache entry implies its partition is
     // clean, so its cover carries too — keeping both warm means a
     // standing-query re-evaluation below is a lookup, not a build.
@@ -517,7 +524,7 @@ void NetClusServer::OnPublish(uint64_t old_version, uint64_t new_version,
   }
   standing_.OnPublish(new_version, delta,
                       [this](const Engine::QuerySpec& spec) {
-                        return AnswerInline(spec, registry_.Acquire()).result;
+                        return AnswerInline(spec, registry_.Acquire());
                       });
 }
 
@@ -529,8 +536,8 @@ uint64_t NetClusServer::RegisterStanding(const Engine::QuerySpec& spec,
   exec::QueryPlan plan;
   try {
     const exec::Planner planner(ctx_.get());
-    plan = planner.Plan(canon.ToRequest(options_.query_threads),
-                        snap->index(), /*batch_size=*/1);
+    plan = planner.Plan(canon.ToRequest(kReadThreads), snap->index(),
+                        /*batch_size=*/1);
     exec::Executor(&snap->index(), &snap->store(), &snap->sites(), ctx_.get())
         .ValidatePlan(plan);
   } catch (const std::exception& e) {
@@ -541,8 +548,7 @@ uint64_t NetClusServer::RegisterStanding(const Engine::QuerySpec& spec,
                             staleness.max_version_lag, std::move(callback),
                             snap->version(),
                             [this](const Engine::QuerySpec& s) {
-                              return AnswerInline(s, registry_.Acquire())
-                                  .result;
+                              return AnswerInline(s, registry_.Acquire());
                             });
 }
 
@@ -559,10 +565,10 @@ void NetClusServer::Shutdown() {
 
 void NetClusServer::RegisterMetrics() {
   obs::MetricsRegistry& m = ctx_->metrics;
-  // Stage histograms and the exec/shed counters were bound by
-  // ExecContext's constructor (StatsRegistry::BindMetrics); everything
-  // below is the serving layer's own surface. Providers capture `this`,
-  // which outlives ctx_->metrics by ownership.
+  // The stage histograms and exec/shed counters are ExecContext's own
+  // instruments, and the serving latency and counters were created in the
+  // constructor; everything below is polled from the serving structs.
+  // Providers capture `this`, which outlives ctx_->metrics by ownership.
   for (size_t i = 0; i < util::StagedScheduler::kLanes; ++i) {
     const Lane lane = static_cast<Lane>(i);
     m.RegisterProvider("netclus_sched_queue_depth",
@@ -604,20 +610,6 @@ void NetClusServer::RegisterMetrics() {
 
   RegisterCacheMetrics(m, "query", "Result cache", cache_);
   RegisterCacheMetrics(m, "cover", "Cover cache", cover_cache_);
-
-  m.RegisterProvider("netclus_carryover_publishes_total", {},
-                     "Publishes processed by delta-aware cache carryover",
-                     true, [this]() {
-                       return static_cast<double>(carryover_publishes_.load(
-                           std::memory_order_relaxed));
-                     });
-  m.RegisterProvider("netclus_carryover_clean_partitions_total", {},
-                     "Untouched instance partitions across those publishes",
-                     true, [this]() {
-                       return static_cast<double>(
-                           carryover_clean_partitions_.load(
-                               std::memory_order_relaxed));
-                     });
 
   const auto standing_stat =
       [this](uint64_t StandingQueryRegistry::Stats::*field) {
@@ -672,11 +664,6 @@ void NetClusServer::RegisterMetrics() {
                      "Currently published snapshot version", false, [this]() {
                        return static_cast<double>(registry_.current_version());
                      });
-  m.RegisterProvider("netclus_serve_queries_total", {},
-                     "kOk completions (fresh or stale)", true, [this]() {
-                       return static_cast<double>(
-                           queries_served_.load(std::memory_order_relaxed));
-                     });
   for (size_t p = 0; p < kNumPriorities; ++p) {
     m.RegisterProvider("netclus_serve_admitted",
                        {{"priority", kPriorityNames[p]}},
@@ -685,40 +672,33 @@ void NetClusServer::RegisterMetrics() {
                              admitted_[p].load(std::memory_order_relaxed));
                        });
   }
-  m.RegisterHistogramView("netclus_serve_latency_seconds", {},
-                          "End-to-end kOk serving latency", &latency_);
   m.RegisterProvider("netclus_trace_spans_total", {},
                      "Spans pushed into the trace ring", true, [this]() {
                        return static_cast<double>(tracer_->recorded());
                      });
-  slow_queries_ = m.GetCounter(
-      "netclus_serve_slow_queries_total", {},
-      "Completions at or above the slow-query threshold");
 }
 
 ServerStats NetClusServer::stats() const {
   ServerStats s;
-  s.queries_served = queries_served_.load(std::memory_order_relaxed);
+  s.queries_served = queries_served_->Value();
   s.uptime_seconds = uptime_.Seconds();
   s.qps = s.uptime_seconds > 0.0
               ? static_cast<double>(s.queries_served) / s.uptime_seconds
               : 0.0;
-  s.latency_p50_ms = latency_.PercentileSeconds(0.50) * 1e3;
-  s.latency_p95_ms = latency_.PercentileSeconds(0.95) * 1e3;
-  s.latency_p99_ms = latency_.PercentileSeconds(0.99) * 1e3;
-  s.latency_p999_ms = latency_.PercentileSeconds(0.999) * 1e3;
-  s.latency_mean_ms = latency_.MeanSeconds() * 1e3;
-  s.latency_overflow = latency_.overflow_count();
+  s.latency_p50_ms = latency_->PercentileSeconds(0.50) * 1e3;
+  s.latency_p95_ms = latency_->PercentileSeconds(0.95) * 1e3;
+  s.latency_p99_ms = latency_->PercentileSeconds(0.99) * 1e3;
+  s.latency_p999_ms = latency_->PercentileSeconds(0.999) * 1e3;
+  s.latency_mean_ms = latency_->MeanSeconds() * 1e3;
+  s.latency_overflow = latency_->overflow_count();
   s.cache = cache_.stats();
   s.cover_cache = cover_cache_.stats();
-  s.exec = ctx_->stats.snapshot();
+  s.exec = ctx_->Read();
   s.updates = pipeline_->stats();
   s.scheduler = scheduler_->stats();
   s.standing = standing_.stats();
-  s.carryover_publishes =
-      carryover_publishes_.load(std::memory_order_relaxed);
-  s.carryover_clean_partitions =
-      carryover_clean_partitions_.load(std::memory_order_relaxed);
+  s.carryover_publishes = carryover_publishes_->Value();
+  s.carryover_clean_partitions = carryover_clean_partitions_->Value();
   s.snapshot_version = registry_.current_version();
   return s;
 }

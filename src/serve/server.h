@@ -11,7 +11,9 @@
 //   StagedScheduler   — work-stealing pool running the async request
 //                       stages (admit/solve on the fast lanes, cover
 //                       builds on the heavy lane);
-//   LatencyHistogram  — per-query latency percentiles (p50..p999).
+//   ExecContext       — the metrics registry and its instruments: stage
+//                       histograms, exec/shed counters, and the served
+//                       reads' latency histogram (p50..p999).
 //
 // Serving API v2 is asynchronous: SubmitAsync(Request) enqueues onto a
 // bounded per-priority admission queue and returns a future (or invokes a
@@ -133,10 +135,6 @@ struct ServeResult {
 using Response = ServeResult;
 
 struct ServerOptions {
-  /// Worker threads per individual query (PlanRequest::threads; 0 =
-  /// NETCLUS_THREADS default). Keep at 1 when many clients submit
-  /// concurrently — the clients themselves are the parallelism.
-  uint32_t query_threads = 1;
   /// Result cache; capacity = 0 disables it.
   CacheOptions cache;
   /// Cross-query T̂C sharing (docs/query_planning.md): queries with the
@@ -181,8 +179,11 @@ struct ServerOptions {
 };
 
 struct ServerStats {
-  uint64_t queries_served = 0;  ///< kOk completions (fresh or stale)
-  double qps = 0.0;             ///< queries_served / uptime
+  /// kOk SubmitAsync completions (fresh or stale). Standing-query
+  /// evaluations bypass admission and count only in standing.evaluations;
+  /// the latency figures below cover the same reads.
+  uint64_t queries_served = 0;
+  double qps = 0.0;  ///< queries_served / uptime
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
   double latency_p99_ms = 0.0;
@@ -194,10 +195,10 @@ struct ServerStats {
   /// Counting contract: see CacheStats.
   CacheStats cache;
   CacheStats cover_cache;
-  /// Planner/executor stage latencies (EWMA), queue waits, per-instance
-  /// cover-build stats, and the shed/stale counters, from this server's
-  /// exec::StatsRegistry.
-  exec::StatsRegistry::Snapshot exec;
+  /// Planner/executor stage counts and total seconds, queue waits, and
+  /// the cover-sharing and shed/stale counters: a read of this server's
+  /// exec::ExecContext instruments.
+  exec::ExecStats exec;
   UpdatePipeline::Stats updates;
   util::StagedScheduler::Stats scheduler;
   StandingQueryRegistry::Stats standing;
@@ -320,15 +321,15 @@ class NetClusServer {
                      const SnapshotPtr& snap, const exec::CoverPtr& cover,
                      bool cover_reused, bool stale);
   /// Fulfills promise/callback, releases the admission slot, and records
-  /// kOk completions into the latency histogram.
+  /// kOk completions into the latency histogram and served-reads counter.
   void Complete(const std::shared_ptr<AsyncState>& state, StatusCode status);
 
   /// The standing-query evaluator (registration and publish-time
   /// re-evaluation, on the caller's or the writer's thread): plan, cache,
-  /// execute inline on `snap`, bypassing admission. Maps validation
-  /// throws to kInvalidSpec.
-  ServeResult AnswerInline(const Engine::QuerySpec& spec,
-                           const SnapshotPtr& snap);
+  /// execute inline on `snap`, bypassing admission — so it records into
+  /// no served-read figure. An invalid spec answers an empty result.
+  index::QueryResult AnswerInline(const Engine::QuerySpec& spec,
+                                  const SnapshotPtr& snap);
 
   /// Cover source for executors on snapshot `version`: the cover cache.
   exec::CoverHooks CoverHooksAt(uint64_t version);
@@ -340,8 +341,9 @@ class NetClusServer {
                  const DeltaSummary& delta);
 
   /// Registers the serving-layer providers (scheduler lanes, caches,
-  /// update pipeline, snapshot version, latency view) into ctx_->metrics.
-  /// Called once from the constructor; providers capture `this`.
+  /// standing queries, update pipeline, snapshot version) into
+  /// ctx_->metrics. Called once from the constructor; providers capture
+  /// `this`.
   void RegisterMetrics();
 
   ServerOptions options_;
@@ -349,23 +351,25 @@ class NetClusServer {
   QueryCache cache_;
   CoverCache cover_cache_;
   StandingQueryRegistry standing_;
-  std::atomic<uint64_t> carryover_publishes_{0};
-  std::atomic<uint64_t> carryover_clean_partitions_{0};
-  /// Per-server execution context: stats registry + warn-once state,
-  /// shared by every query's planner/executor run.
+  /// Per-server execution context: the metrics registry with the stage
+  /// histograms and exec/shed counters, plus warn-once state, shared by
+  /// every query's planner/executor run.
   std::shared_ptr<exec::ExecContext> ctx_;
+  // The serving layer's own instruments, owned by ctx_->metrics.
+  util::LatencyHistogram* const latency_;  ///< kOk SubmitAsync reads
+  obs::Counter* const queries_served_;     ///< kOk SubmitAsync reads
+  obs::Counter* const slow_queries_;
+  obs::Counter* const carryover_publishes_;
+  obs::Counter* const carryover_clean_partitions_;
   std::unique_ptr<UpdatePipeline> pipeline_;
   std::unique_ptr<util::StagedScheduler> scheduler_;
   /// In-flight admitted requests per priority, against
   /// ServerOptions::admission_capacity.
   std::array<std::atomic<size_t>, kNumPriorities> admitted_{};
-  util::LatencyHistogram latency_;
-  std::atomic<uint64_t> queries_served_{0};
   util::WallTimer uptime_;
   std::unique_ptr<obs::Tracer> tracer_;
   /// Resolved slow-query threshold in seconds; <= 0 disables the log.
   double slow_query_seconds_ = 0.0;
-  obs::Counter* slow_queries_ = nullptr;  ///< owned by ctx_->metrics
 };
 
 }  // namespace netclus::serve

@@ -43,8 +43,7 @@ TEST(MetricsRegistry, ConcurrentBumpsAreExact) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   obs::Counter* shared = reg.GetCounter("netclus_shared_total");
-  obs::Gauge* gauge = reg.GetGauge("netclus_shared_gauge");
-  obs::Histogram* hist = reg.GetHistogram("netclus_shared_seconds");
+  util::LatencyHistogram* hist = reg.GetHistogram("netclus_shared_seconds");
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
@@ -54,15 +53,13 @@ TEST(MetricsRegistry, ConcurrentBumpsAreExact) {
       for (int i = 0; i < kPerThread; ++i) {
         shared->Increment();
         mine->Increment();
-        gauge->Add(1.0);
-        hist->Observe(0.001 * (1 + i % 7));
+        hist->Record(0.001 * (1 + i % 7));
       }
     });
   }
   for (std::thread& t : pool) t.join();
   EXPECT_EQ(shared->Value(), uint64_t{kThreads} * kPerThread);
-  EXPECT_DOUBLE_EQ(gauge->Value(), double(kThreads) * kPerThread);
-  EXPECT_EQ(hist->view().count(), uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(hist->count(), uint64_t{kThreads} * kPerThread);
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(reg.GetCounter("netclus_per_thread_total",
                              {{"t", std::to_string(t)}})
@@ -74,7 +71,8 @@ TEST(MetricsRegistry, ConcurrentBumpsAreExact) {
 TEST(MetricsRegistry, PrometheusGolden) {
   obs::MetricsRegistry reg;
   reg.GetCounter("netclus_test_total", {}, "A test counter")->Increment(3);
-  reg.GetGauge("netclus_test_gauge", {{"lane", "fast"}})->Set(1.5);
+  reg.RegisterProvider("netclus_test_gauge", {{"lane", "fast"}}, "",
+                       /*counter=*/false, [] { return 1.5; });
   reg.RegisterProvider("netclus_test_polled_total", {}, "", /*counter=*/true,
                        [] { return 7.0; });
   // Sorted by name, HELP only when non-empty, TYPE from the entry kind.
@@ -91,7 +89,8 @@ TEST(MetricsRegistry, PrometheusGolden) {
 TEST(MetricsRegistry, JsonGolden) {
   obs::MetricsRegistry reg;
   reg.GetCounter("netclus_test_total", {}, "A test counter")->Increment(3);
-  reg.GetGauge("netclus_test_gauge", {{"lane", "fast"}})->Set(1.5);
+  reg.RegisterProvider("netclus_test_gauge", {{"lane", "fast"}}, "",
+                       /*counter=*/false, [] { return 1.5; });
   EXPECT_EQ(reg.ExportJson(),
             "{\"metrics\":["
             "{\"name\":\"netclus_test_gauge\",\"labels\":{\"lane\":\"fast\"},"
@@ -103,10 +102,10 @@ TEST(MetricsRegistry, JsonGolden) {
 
 TEST(MetricsRegistry, PrometheusHistogramIsCumulativeWithInfBucket) {
   obs::MetricsRegistry reg;
-  obs::Histogram* h = reg.GetHistogram("netclus_test_seconds");
-  h->Observe(0.001);
-  h->Observe(0.001);
-  h->Observe(0.5);
+  util::LatencyHistogram* h = reg.GetHistogram("netclus_test_seconds");
+  h->Record(0.001);
+  h->Record(0.001);
+  h->Record(0.5);
   const std::string prom = reg.ExportPrometheus();
   EXPECT_NE(prom.find("# TYPE netclus_test_seconds histogram"),
             std::string::npos);
@@ -437,6 +436,117 @@ TEST(ServerObs, EngineDumpMetricsCoversExecStages) {
   EXPECT_NE(prom.find("stage=\"plan\""), std::string::npos);
   const std::string json = engine.DumpMetrics(obs::ExportFormat::kJson);
   EXPECT_EQ(json.rfind("{\"metrics\":[", 0), 0u);
+}
+
+// --- exported metric surface -------------------------------------------------
+
+// The exported surface a dump carries: every family's TYPE, and the
+// `stage` label values of the executor stage histogram.
+struct MetricSurface {
+  std::map<std::string, std::string> types;
+  std::set<std::string> stages;
+};
+
+MetricSurface SurfaceOf(const std::string& prom) {
+  MetricSurface out;
+  const std::string type_prefix = "# TYPE ";
+  const std::string stage_prefix = "netclus_exec_stage_seconds_count{stage=\"";
+  size_t begin = 0;
+  while (begin < prom.size()) {
+    size_t end = prom.find('\n', begin);
+    if (end == std::string::npos) end = prom.size();
+    const std::string line = prom.substr(begin, end - begin);
+    begin = end + 1;
+    if (line.rfind(type_prefix, 0) == 0) {
+      const size_t space = line.find(' ', type_prefix.size());
+      EXPECT_TRUE(out.types
+                      .emplace(line.substr(type_prefix.size(),
+                                           space - type_prefix.size()),
+                               line.substr(space + 1))
+                      .second)
+          << "family typed twice: " << line;
+    } else if (line.rfind(stage_prefix, 0) == 0) {
+      const size_t quote = line.find('"', stage_prefix.size());
+      out.stages.insert(
+          line.substr(stage_prefix.size(), quote - stage_prefix.size()));
+    }
+  }
+  return out;
+}
+
+const std::set<std::string> kExecStages = {"assemble", "cover_build", "plan",
+                                           "queue_wait", "solve"};
+
+// The executor's own families, exported by an Engine and by a server.
+const std::map<std::string, std::string> kExecFamilies = {
+    {"netclus_exec_covers_built_total", "counter"},
+    {"netclus_exec_covers_shared_total", "counter"},
+    {"netclus_exec_fm_fallbacks_total", "counter"},
+    {"netclus_exec_stage_seconds", "histogram"},
+    {"netclus_serve_shed_deadline_total", "counter"},
+    {"netclus_serve_shed_overload_total", "counter"},
+    {"netclus_serve_stale_served_total", "counter"},
+};
+
+TEST(MetricSurface, EngineDumpAfterOneRunIsPinned) {
+  Engine engine = MakeEngine();
+  (void)engine.Run(Spec(3, 800.0));
+  const MetricSurface surface = SurfaceOf(engine.DumpMetrics());
+  EXPECT_EQ(surface.types, kExecFamilies);
+  EXPECT_EQ(surface.stages, kExecStages);
+}
+
+TEST(MetricSurface, ServerDumpAfterOneReadIsPinned) {
+  Engine engine = MakeEngine();
+  auto server = engine.Serve();
+  ASSERT_EQ(test::Submit(*server, Spec(3, 800.0)).status,
+            serve::StatusCode::kOk);
+  std::map<std::string, std::string> expected = kExecFamilies;
+  const std::map<std::string, std::string> serving = {
+      {"netclus_carryover_clean_partitions_total", "counter"},
+      {"netclus_carryover_publishes_total", "counter"},
+      {"netclus_cover_cache_carried_total", "counter"},
+      {"netclus_cover_cache_entries", "gauge"},
+      {"netclus_cover_cache_evictions_total", "counter"},
+      {"netclus_cover_cache_hits_total", "counter"},
+      {"netclus_cover_cache_misses_total", "counter"},
+      {"netclus_cover_cache_resident_bytes", "gauge"},
+      {"netclus_cover_cache_stale_hits_total", "counter"},
+      {"netclus_query_cache_carried_total", "counter"},
+      {"netclus_query_cache_entries", "gauge"},
+      {"netclus_query_cache_evictions_total", "counter"},
+      {"netclus_query_cache_hits_total", "counter"},
+      {"netclus_query_cache_misses_total", "counter"},
+      {"netclus_query_cache_resident_bytes", "gauge"},
+      {"netclus_query_cache_stale_hits_total", "counter"},
+      {"netclus_sched_executed_total", "counter"},
+      {"netclus_sched_injected_total", "counter"},
+      {"netclus_sched_queue_depth", "gauge"},
+      {"netclus_sched_stolen_total", "counter"},
+      {"netclus_sched_utilization", "gauge"},
+      {"netclus_sched_workers", "gauge"},
+      {"netclus_serve_admitted", "gauge"},
+      {"netclus_serve_latency_seconds", "histogram"},
+      {"netclus_serve_queries_total", "counter"},
+      {"netclus_serve_slow_queries_total", "counter"},
+      {"netclus_snapshot_version", "gauge"},
+      {"netclus_standing_active", "gauge"},
+      {"netclus_standing_deferred_total", "counter"},
+      {"netclus_standing_evaluations_total", "counter"},
+      {"netclus_standing_pushes_total", "counter"},
+      {"netclus_standing_skipped_clean_total", "counter"},
+      {"netclus_trace_spans_total", "counter"},
+      {"netclus_update_batches_published_total", "counter"},
+      {"netclus_update_ops_applied_total", "counter"},
+      {"netclus_update_ops_enqueued_total", "counter"},
+      {"netclus_update_ops_rejected_total", "counter"},
+      {"netclus_update_queue_depth", "gauge"},
+  };
+  expected.insert(serving.begin(), serving.end());
+  const MetricSurface surface = SurfaceOf(server->DumpMetrics());
+  EXPECT_EQ(surface.types, expected);
+  EXPECT_EQ(surface.stages, kExecStages);
+  server->Shutdown();
 }
 
 }  // namespace

@@ -1276,6 +1276,31 @@ TEST(StandingQueries, StalenessBudgetCoalescesDirtyPublishes) {
   server->UnregisterStanding(id);
 }
 
+TEST(StandingQueries, EvaluationsAreNotServedReads) {
+  // Standing-query evaluations run on the registering and writer threads,
+  // never through admission or a queue, so they count only in
+  // standing.evaluations — not in the served-read figures.
+  Engine engine = MakeEngine();
+  auto server = engine.Serve();
+  const uint64_t id = server->RegisterStanding(
+      Spec(3, 700.0), serve::StalenessPolicy::Fresh(),
+      [](const serve::StandingUpdate&) {});
+  ASSERT_NE(id, 0u);
+  for (int i = 0; i < 3; ++i) {
+    server->MutateAddTrajectory({0, 1, 2, 12});
+    server->Flush();
+  }
+  const serve::ServerStats stats = server->stats();
+  EXPECT_EQ(stats.standing.evaluations, 4u);
+  EXPECT_EQ(stats.queries_served, 0u);
+  EXPECT_EQ(stats.latency_p50_ms, 0.0);
+  const std::string prom = server->DumpMetrics();
+  EXPECT_NE(prom.find("netclus_serve_queries_total 0\n"), std::string::npos);
+  EXPECT_NE(prom.find("netclus_serve_latency_seconds_count 0\n"),
+            std::string::npos);
+  server->UnregisterStanding(id);
+}
+
 TEST(StandingQueries, CallbackCanUnregisterItself) {
   Engine engine = MakeEngine();
   auto server = engine.Serve();
